@@ -1,6 +1,6 @@
 //! Criterion wrappers for the ablation experiments (DESIGN.md §6) at
 //! reduced trial counts; full artifacts come from
-//! `cargo run -p bench --release --bin all_figures`.
+//! `cargo run -p bench --release --bin artifacts -- --regen all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use workloads::ablations;

@@ -1,6 +1,6 @@
 //! Criterion bench regenerating Figure 9 (stepwise, 6-cube) at a reduced
-//! trial count. `cargo run -p bench --release --bin fig09` produces the
-//! full-trial artifact.
+//! trial count. `cargo run -p bench --release --bin artifacts -- --regen
+//! fig09` produces the full-trial artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

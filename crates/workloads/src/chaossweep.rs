@@ -20,15 +20,12 @@
 //! regenerate `results/chaos_sweep.{txt,json}` byte-for-byte — with or
 //! without worker threads — and the determinism suite pins it.
 
-use crate::json::{self, Value};
-use crate::trafficsweep::{horizon_for, run_seed};
+use crate::artifact::{record, Artifact};
+use crate::sweep::default_workers;
+use crate::trafficsweep::{pool, pool_spec, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, CacheStats, RetryPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficSpec,
-};
+use traffic::{ChaosReport, ChaosSpec, ChurnSpec, DestPattern};
 use wormsim::{EngineScratch, SimParams, SimTime};
 
 /// Sweep dimensions, churn ladder, and seeding.
@@ -46,9 +43,9 @@ pub struct ChaosSweepConfig {
     pub loads_64: Vec<f64>,
     /// Offered loads (sessions/ms) for the 256-node cube.
     pub loads_256: Vec<f64>,
-    /// Per-link MTBF ladder, calm to harsh; `f64::INFINITY` is the
-    /// churn-free anchor rung.
-    pub link_mtbf_ladder_ms: Vec<f64>,
+    /// Per-link MTBF ladder, calm to harsh; `None` (infinite MTBF) is
+    /// the churn-free anchor rung.
+    pub link_mtbf_ladder_ms: Vec<Option<f64>>,
     /// Mean time to repair a failed link.
     pub link_mttr_ms: f64,
     /// Per-node MTBF as a multiple of the rung's per-link MTBF.
@@ -80,7 +77,7 @@ impl ChaosSweepConfig {
             // approximation only while queues are short).
             loads_64: vec![0.25, 0.75],
             loads_256: vec![0.5, 1.0],
-            link_mtbf_ladder_ms: vec![f64::INFINITY, 3000.0, 1200.0, 500.0],
+            link_mtbf_ladder_ms: vec![None, Some(3000.0), Some(1200.0), Some(500.0)],
             link_mttr_ms: 4.0,
             node_mtbf_factor: 4.0,
             node_mttr_ms: 6.0,
@@ -104,7 +101,7 @@ impl ChaosSweepConfig {
             seed: 137,
             loads_64: vec![1.0],
             loads_256: vec![1.0],
-            link_mtbf_ladder_ms: vec![f64::INFINITY, 500.0],
+            link_mtbf_ladder_ms: vec![None, Some(500.0)],
             ..ChaosSweepConfig::full()
         }
     }
@@ -115,8 +112,8 @@ impl ChaosSweepConfig {
 pub struct ChaosPoint {
     /// Offered load, sessions per millisecond.
     pub offered_per_ms: f64,
-    /// The rung's per-link MTBF (`f64::INFINITY` = no churn).
-    pub link_mtbf_ms: f64,
+    /// The rung's per-link MTBF (`None`: infinite, no churn).
+    pub link_mtbf_ms: Option<f64>,
     /// Fraction of measured sessions fully delivered (retries
     /// included).
     pub delivery_ratio: f64,
@@ -169,8 +166,9 @@ pub struct ChaosSweep {
     pub series: Vec<ChaosSeries>,
 }
 
-/// What one grid point simulates.
-enum RunTarget {
+/// What one grid point (or telemetry series) simulates.
+#[derive(Clone, Copy)]
+pub(crate) enum RunTarget {
     Cube { cube: Cube, algo: Algorithm },
     Torus { torus: Torus },
 }
@@ -180,36 +178,39 @@ struct RunTask {
     target: RunTarget,
     pattern: DestPattern,
     rate: f64,
-    link_mtbf_ms: f64,
+    link_mtbf_ms: Option<f64>,
     seed: u64,
 }
 
 fn chaos_spec_for(cfg: &ChaosSweepConfig, task: &RunTask) -> ChaosSpec {
-    let mut t = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, task.rate),
-        task.pattern.clone(),
+    let traffic = pool_spec(
+        &task.pattern,
+        task.rate,
         cfg.sessions,
+        cfg.bytes,
+        cfg.pool_groups,
         task.seed,
     );
-    t.bytes = cfg.bytes;
-    t.horizon = horizon_for(cfg.sessions, task.rate);
-    t.cache_capacity = 2 * cfg.pool_groups;
-    let churn = if task.link_mtbf_ms.is_finite() {
-        ChurnSpec {
-            link_mtbf_ms: task.link_mtbf_ms,
+    let churn = match task.link_mtbf_ms {
+        Some(mtbf) => ChurnSpec {
+            link_mtbf_ms: mtbf,
             link_mttr_ms: cfg.link_mttr_ms,
-            node_mtbf_ms: task.link_mtbf_ms * cfg.node_mtbf_factor,
+            node_mtbf_ms: mtbf * cfg.node_mtbf_factor,
             node_mttr_ms: cfg.node_mttr_ms,
-            churn_until: SimTime::from_ns((t.horizon.as_ns() as f64 * cfg.churn_fraction) as u64),
-        }
-    } else {
-        ChurnSpec::quiet()
+            churn_until: churn_until(traffic.horizon, cfg.churn_fraction),
+        },
+        None => ChurnSpec::quiet(),
     };
     ChaosSpec {
-        traffic: t,
+        traffic,
         churn,
         retry: cfg.retry,
     }
+}
+
+/// The end of the churn window: the first `fraction` of `horizon`.
+pub(crate) fn churn_until(horizon: SimTime, fraction: f64) -> SimTime {
+    SimTime::from_ns((horizon.as_ns() as f64 * fraction) as u64)
 }
 
 fn point_for(task: &RunTask, r: &ChaosReport) -> ChaosPoint {
@@ -252,11 +253,11 @@ fn run_task(cfg: &ChaosSweepConfig, task: &RunTask, scratch: &mut EngineScratch)
     point_for(task, &report)
 }
 
-/// Runs the full chaos sweep single-threaded. Deterministic: identical
-/// configs give byte-identical JSON.
+/// Runs the full chaos sweep on one worker per available core (at
+/// most 32). Deterministic: identical configs give byte-identical JSON.
 #[must_use]
 pub fn chaos_sweep(cfg: &ChaosSweepConfig) -> ChaosSweep {
-    chaos_sweep_with_workers(cfg, 1)
+    chaos_sweep_with_workers(cfg, default_workers())
 }
 
 /// [`chaos_sweep`] with a worker pool. Every grid point is an
@@ -272,52 +273,54 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
 
     // Lay out every series and its grid tasks up front, in output
     // order; workers fill slots, never append.
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let mut layout: Vec<(String, usize, String, usize)> = Vec::new(); // network, nodes, algorithm, m
+    let (mut tasks, mut shells) = (Vec::new(), Vec::new());
+    let mut grid =
+        |network: &str, nodes, m, target, algorithm: &str, pattern: &DestPattern, loads: &[f64]| {
+            for (ri, &link_mtbf_ms) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
+                for (li, &rate) in loads.iter().enumerate() {
+                    let seed = run_seed(cfg.seed, network, algorithm, ri * loads.len() + li);
+                    let pattern = pattern.clone();
+                    tasks.push(RunTask {
+                        target,
+                        pattern,
+                        rate,
+                        link_mtbf_ms,
+                        seed,
+                    });
+                }
+            }
+            let shell = ChaosSeries {
+                network: network.into(),
+                nodes,
+                algorithm: algorithm.into(),
+                m,
+                points: Vec::new(),
+            };
+            shells.push((shell, cfg.link_mtbf_ladder_ms.len() * loads.len()));
+        };
     for (network, dim, m, loads) in [
         ("cube6", 6u8, 8usize, &cfg.loads_64),
         ("cube8", 8u8, 16usize, &cfg.loads_256),
     ] {
         let cube = Cube::of(dim);
-        // One pool per network, shared across algorithms and rungs, so
-        // the curves are an apples-to-apples comparison.
-        let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, network, "pool", 0));
-        let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, m);
+        let pattern = pool(cfg.seed, network, &cube, cfg.pool_groups, m);
         for algo in Algorithm::PAPER {
-            layout.push((network.into(), 1 << dim, algo.name().into(), m));
-            for (ri, &mtbf) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
-                for (li, &rate) in loads.iter().enumerate() {
-                    tasks.push(RunTask {
-                        target: RunTarget::Cube { cube, algo },
-                        pattern: pattern.clone(),
-                        rate,
-                        link_mtbf_ms: mtbf,
-                        seed: run_seed(cfg.seed, network, algo.name(), ri * loads.len() + li),
-                    });
-                }
-            }
+            let target = RunTarget::Cube { cube, algo };
+            grid(network, 1 << dim, m, target, algo.name(), &pattern, loads);
         }
     }
     let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, 8);
-    layout.push(("torus4x3".into(), 64, "Separate".into(), 8));
-    for (ri, &mtbf) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
-        for (li, &rate) in cfg.loads_64.iter().enumerate() {
-            tasks.push(RunTask {
-                target: RunTarget::Torus { torus },
-                pattern: pattern.clone(),
-                rate,
-                link_mtbf_ms: mtbf,
-                seed: run_seed(
-                    cfg.seed,
-                    "torus4x3",
-                    "Separate",
-                    ri * cfg.loads_64.len() + li,
-                ),
-            });
-        }
-    }
+    let pattern = pool(cfg.seed, "torus4x3", &torus, cfg.pool_groups, 8);
+    let target = RunTarget::Torus { torus };
+    grid(
+        "torus4x3",
+        64,
+        8,
+        target,
+        "Separate",
+        &pattern,
+        &cfg.loads_64,
+    );
 
     // The sharded trial driver: per-worker scratch (reuse across runs is
     // byte-invisible), task-indexed merge, so the sweep is worker-count
@@ -326,23 +329,11 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
         run_task(cfg, &tasks[i], scratch)
     })
     .into_iter();
-    let per_series_64 = cfg.link_mtbf_ladder_ms.len() * cfg.loads_64.len();
-    let per_series_256 = cfg.link_mtbf_ladder_ms.len() * cfg.loads_256.len();
-    let series = layout
+    let series = shells
         .into_iter()
-        .map(|(network, nodes, algorithm, m)| {
-            let n = if network == "cube8" {
-                per_series_256
-            } else {
-                per_series_64
-            };
-            ChaosSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points: points.by_ref().take(n).collect(),
-            }
+        .map(|(shell, n)| ChaosSeries {
+            points: points.by_ref().take(n).collect(),
+            ..shell
         })
         .collect();
     ChaosSweep {
@@ -352,189 +343,72 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// The artifact: schema, `.txt` rendering.
 // ----------------------------------------------------------------------
 
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
-    }
-}
+record!(RetryPolicy {
+    max_retries,
+    "base_backoff_us" => base_backoff,
+    backoff_factor,
+});
+record!(ChaosSweepConfig {
+    sessions,
+    pool_groups,
+    bytes,
+    seed,
+    const "arrivals" = "poisson",
+    loads_64,
+    loads_256,
+    link_mtbf_ladder_ms,
+    link_mttr_ms,
+    node_mtbf_factor,
+    node_mttr_ms,
+    churn_fraction,
+    retry,
+});
+record!(ChaosPoint {
+    offered_per_ms,
+    link_mtbf_ms,
+    delivery_ratio,
+    mean_latency_ms,
+    ci_half_width_ms,
+    goodput_per_ms,
+    retry_histogram,
+    lost,
+    window_cut,
+    time_to_recover_ms,
+    epochs,
+    fault_events,
+    ..cache,
+});
+record!(ChaosSeries {
+    network,
+    nodes,
+    algorithm,
+    m,
+    points,
+});
+record!(ChaosSweep {
+    const "id" = ID,
+    const "title" = TITLE,
+    config,
+    series,
+});
 
-fn f64s_value(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().map(|&x| num_or_null(x)).collect())
-}
+const ID: &str = "chaos_sweep";
+const TITLE: &str = "Fault churn: delivery degradation and self-healing recovery under load";
 
-impl ChaosSweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result). Infinite MTBFs and absent recovery times are
-    /// `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let retry = Value::Object(vec![
-            (
-                "max_retries".into(),
-                Value::Number(f64::from(c.retry.max_retries)),
-            ),
-            (
-                "base_backoff_us".into(),
-                Value::Number(c.retry.base_backoff as f64),
-            ),
-            (
-                "backoff_factor".into(),
-                Value::Number(c.retry.backoff_factor as f64),
-            ),
-        ]);
-        let config = Value::Object(vec![
-            ("sessions".into(), Value::Number(c.sessions as f64)),
-            ("pool_groups".into(), Value::Number(c.pool_groups as f64)),
-            ("bytes".into(), Value::Number(f64::from(c.bytes))),
-            ("seed".into(), Value::Number(c.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("loads_64".into(), f64s_value(&c.loads_64)),
-            ("loads_256".into(), f64s_value(&c.loads_256)),
-            (
-                "link_mtbf_ladder_ms".into(),
-                f64s_value(&c.link_mtbf_ladder_ms),
-            ),
-            ("link_mttr_ms".into(), Value::Number(c.link_mttr_ms)),
-            ("node_mtbf_factor".into(), Value::Number(c.node_mtbf_factor)),
-            ("node_mttr_ms".into(), Value::Number(c.node_mttr_ms)),
-            ("churn_fraction".into(), Value::Number(c.churn_fraction)),
-            ("retry".into(), retry),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("m".into(), Value::Number(s.m as f64)),
-                        (
-                            "points".into(),
-                            Value::Array(s.points.iter().map(point_to_json).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("chaos_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Fault churn: delivery degradation and self-healing recovery under load".into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`ChaosSweep::to_json`] — the schema check CI runs against the
-    /// committed `results/chaos_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<ChaosSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "chaos_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        // `null` in a numeric position means "infinite" (MTBF ladder).
-        let get_f64s = |key: &str| -> Result<Vec<f64>, String> {
-            cfg.get(key)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("missing array field: {key}"))?
-                .iter()
-                .map(|x| match x {
-                    Value::Null => Ok(f64::INFINITY),
-                    _ => x
-                        .as_f64()
-                        .ok_or_else(|| format!("non-numeric entry in {key}")),
-                })
-                .collect()
-        };
-        let retry_v = cfg.get("retry").ok_or("missing object field: retry")?;
-        let config = ChaosSweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            loads_64: get_f64s("loads_64")?,
-            loads_256: get_f64s("loads_256")?,
-            link_mtbf_ladder_ms: get_f64s("link_mtbf_ladder_ms")?,
-            link_mttr_ms: get_num(cfg, "link_mttr_ms")?,
-            node_mtbf_factor: get_num(cfg, "node_mtbf_factor")?,
-            node_mttr_ms: get_num(cfg, "node_mttr_ms")?,
-            churn_fraction: get_num(cfg, "churn_fraction")?,
-            retry: RetryPolicy {
-                max_retries: get_num(retry_v, "max_retries")? as u32,
-                base_backoff: get_num(retry_v, "base_backoff_us")? as u64,
-                backoff_factor: get_num(retry_v, "backoff_factor")? as u64,
-            },
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            let network = s
-                .get("network")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("network"))?
-                .to_string();
-            let algorithm = s
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("algorithm"))?
-                .to_string();
-            let nodes = get_num(s, "nodes")? as usize;
-            let m = get_num(s, "m")? as usize;
-            let pts = s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("points"))?;
-            let points = pts
-                .iter()
-                .map(|p| point_from_json(p, i))
-                .collect::<Result<Vec<_>, String>>()?;
-            series.push(ChaosSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points,
-            });
-        }
-        Ok(ChaosSweep { config, series })
+impl Artifact for ChaosSweep {
+    fn id(&self) -> &str {
+        ID
     }
 
     /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
+    fn render(&self) -> String {
         let c = &self.config;
         let mut out = String::new();
-        out.push_str("Fault churn: delivery degradation and self-healing recovery under load\n");
+        out.push_str(TITLE);
+        out.push('\n');
         out.push_str(&format!(
             "sessions/point = {}, pool = {} groups, payload = {} B, seed = {}, arrivals = poisson\n",
             c.sessions, c.pool_groups, c.bytes, c.seed
@@ -560,10 +434,9 @@ impl ChaosSweep {
                 "  mtbf ms   load/ms   deliver   goodput   latency ms   attempts 1/2/3/4   lost   cut   recover ms   events   cache h/m/e/i\n",
             );
             for p in &s.points {
-                let mtbf = if p.link_mtbf_ms.is_finite() {
-                    format!("{:>7.0}", p.link_mtbf_ms)
-                } else {
-                    "    inf".into()
+                let mtbf = match p.link_mtbf_ms {
+                    Some(m) => format!("{m:>7.0}"),
+                    None => "    inf".into(),
                 };
                 let mut hist = [0u64; 4];
                 for (k, &n) in p.retry_histogram.iter().enumerate() {
@@ -596,109 +469,10 @@ impl ChaosSweep {
     }
 }
 
-fn point_to_json(p: &ChaosPoint) -> Value {
-    Value::Object(vec![
-        ("offered_per_ms".into(), Value::Number(p.offered_per_ms)),
-        ("link_mtbf_ms".into(), num_or_null(p.link_mtbf_ms)),
-        ("delivery_ratio".into(), Value::Number(p.delivery_ratio)),
-        ("mean_latency_ms".into(), num_or_null(p.mean_latency_ms)),
-        ("ci_half_width_ms".into(), num_or_null(p.ci_half_width_ms)),
-        ("goodput_per_ms".into(), Value::Number(p.goodput_per_ms)),
-        (
-            "retry_histogram".into(),
-            Value::Array(
-                p.retry_histogram
-                    .iter()
-                    .map(|&n| Value::Number(n as f64))
-                    .collect(),
-            ),
-        ),
-        ("lost".into(), Value::Number(p.lost as f64)),
-        ("window_cut".into(), Value::Number(p.window_cut as f64)),
-        (
-            "time_to_recover_ms".into(),
-            p.time_to_recover_ms.map_or(Value::Null, Value::Number),
-        ),
-        ("epochs".into(), Value::Number(p.epochs as f64)),
-        ("fault_events".into(), Value::Number(p.fault_events as f64)),
-        ("cache_hits".into(), Value::Number(p.cache.hits as f64)),
-        ("cache_misses".into(), Value::Number(p.cache.misses as f64)),
-        (
-            "cache_evictions".into(),
-            Value::Number(p.cache.evictions as f64),
-        ),
-        (
-            "cache_invalidations".into(),
-            Value::Number(p.cache.invalidations as f64),
-        ),
-    ])
-}
-
-fn point_from_json(p: &Value, series_idx: usize) -> Result<ChaosPoint, String> {
-    let get_num = |key: &str| -> Result<f64, String> {
-        p.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("series[{series_idx}]: missing numeric point field {key}"))
-    };
-    // `null` restores to NaN (latency of a zero-delivery point) or
-    // infinity (the churn-free rung's MTBF), keyed by field.
-    let opt_num = |key: &str, absent: f64| -> Result<f64, String> {
-        match p.get(key) {
-            Some(Value::Null) => Ok(absent),
-            Some(x) => x
-                .as_f64()
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric {key}")),
-            None => Err(format!("series[{series_idx}]: missing point field {key}")),
-        }
-    };
-    let retry_histogram = p
-        .get("retry_histogram")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("series[{series_idx}]: missing array field retry_histogram"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric retry_histogram entry"))
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    let time_to_recover_ms = match p.get("time_to_recover_ms") {
-        Some(Value::Null) => None,
-        Some(x) => Some(
-            x.as_f64()
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric time_to_recover_ms"))?,
-        ),
-        None => {
-            return Err(format!(
-                "series[{series_idx}]: missing point field time_to_recover_ms"
-            ))
-        }
-    };
-    Ok(ChaosPoint {
-        offered_per_ms: get_num("offered_per_ms")?,
-        link_mtbf_ms: opt_num("link_mtbf_ms", f64::INFINITY)?,
-        delivery_ratio: get_num("delivery_ratio")?,
-        mean_latency_ms: opt_num("mean_latency_ms", f64::NAN)?,
-        ci_half_width_ms: opt_num("ci_half_width_ms", f64::NAN)?,
-        goodput_per_ms: get_num("goodput_per_ms")?,
-        retry_histogram,
-        lost: get_num("lost")? as u64,
-        window_cut: get_num("window_cut")? as u64,
-        time_to_recover_ms,
-        epochs: get_num("epochs")? as u64,
-        fault_events: get_num("fault_events")? as u64,
-        cache: CacheStats {
-            hits: get_num("cache_hits")? as u64,
-            misses: get_num("cache_misses")? as u64,
-            evictions: get_num("cache_evictions")? as u64,
-            invalidations: get_num("cache_invalidations")? as u64,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{from_json, to_json};
 
     fn tiny() -> ChaosSweepConfig {
         ChaosSweepConfig {
@@ -708,7 +482,7 @@ mod tests {
             seed: 11,
             loads_64: vec![2.0],
             loads_256: vec![4.0],
-            link_mtbf_ladder_ms: vec![f64::INFINITY, 400.0],
+            link_mtbf_ladder_ms: vec![None, Some(400.0)],
             ..ChaosSweepConfig::full()
         }
     }
@@ -718,9 +492,10 @@ mod tests {
         let cfg = tiny();
         let a = chaos_sweep(&cfg);
         let b = chaos_sweep(&cfg);
+        let json = to_json(&a).unwrap();
         assert_eq!(
-            a.to_json(),
-            b.to_json(),
+            json,
+            to_json(&b).unwrap(),
             "sweep must regenerate bit-identically"
         );
 
@@ -730,8 +505,8 @@ mod tests {
             assert_eq!(s.points.len(), 2, "{}", s.network);
         }
 
-        let parsed = ChaosSweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed: ChaosSweep = from_json(&json).unwrap();
+        assert_eq!(to_json(&parsed).unwrap(), json, "JSON round-trip");
         assert_eq!(parsed.config, a.config);
     }
 
@@ -740,8 +515,8 @@ mod tests {
         let cfg = tiny();
         let serial = chaos_sweep_with_workers(&cfg, 1);
         let pooled = chaos_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json(), pooled.to_json());
-        assert_eq!(serial.to_table(), pooled.to_table());
+        assert_eq!(to_json(&serial).unwrap(), to_json(&pooled).unwrap());
+        assert_eq!(serial.render(), pooled.render());
     }
 
     #[test]
@@ -750,7 +525,7 @@ mod tests {
         let mut disrupted_anywhere = false;
         for s in &sweep.series {
             for p in &s.points {
-                if p.link_mtbf_ms.is_finite() {
+                if p.link_mtbf_ms.is_some() {
                     assert!(
                         p.fault_events > 0,
                         "{}: churn rung saw no events",
@@ -776,10 +551,10 @@ mod tests {
 
     #[test]
     fn from_json_rejects_schema_violations() {
-        assert!(ChaosSweep::from_json("{}").is_err());
-        assert!(ChaosSweep::from_json("[1]").is_err());
-        assert!(ChaosSweep::from_json("not json").is_err());
+        assert!(from_json::<ChaosSweep>("{}").is_err());
+        assert!(from_json::<ChaosSweep>("[1]").is_err());
+        assert!(from_json::<ChaosSweep>("not json").is_err());
         let wrong_id = r#"{ "id": "traffic_sweep", "config": {}, "series": [] }"#;
-        assert!(ChaosSweep::from_json(wrong_id).is_err());
+        assert!(from_json::<ChaosSweep>(wrong_id).is_err());
     }
 }

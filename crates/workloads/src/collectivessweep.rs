@@ -13,13 +13,11 @@
 //!
 //! Everything is keyed off [`CollectivesConfig::seed`]: identical
 //! configs regenerate `results/collectives_sweep.{txt,json}`
-//! byte-for-byte, and the determinism suite pins it. Emission goes
-//! through the strict JSON writer
-//! ([`Value::to_string_pretty_strict`](crate::json::Value::to_string_pretty_strict)):
-//! a non-finite statistic aborts the artifact instead of laundering to
-//! `null`.
+//! byte-for-byte, and the determinism suite pins it. Like every
+//! artifact it emits strictly through [`crate::artifact`]: a non-finite
+//! statistic aborts the artifact instead of laundering to `null`.
 
-use crate::json::{self, EmitError, Value};
+use crate::artifact::{record, Artifact};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{
@@ -254,180 +252,73 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// The artifact: schema, `.txt` rendering, oracle check.
 // ----------------------------------------------------------------------
 
-impl CollectivesSweep {
-    fn to_value(&self) -> Value {
-        let config = Value::Object(vec![
-            (
-                "block_bytes".into(),
-                Value::Number(f64::from(self.config.block_bytes)),
-            ),
-            (
-                "traffic_sessions".into(),
-                Value::Number(self.config.traffic_sessions as f64),
-            ),
-            (
-                "traffic_rate_per_ms".into(),
-                Value::Number(self.config.traffic_rate_per_ms),
-            ),
-            (
-                "traffic_bytes".into(),
-                Value::Number(f64::from(self.config.traffic_bytes)),
-            ),
-            ("seed".into(), Value::Number(self.config.seed as f64)),
-        ]);
-        let rows = Value::Array(
-            self.rows
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("suite".into(), Value::String(r.suite.clone())),
-                        ("network".into(), Value::String(r.network.clone())),
-                        ("family".into(), Value::String(r.family.clone())),
-                        ("nodes".into(), Value::Number(r.nodes as f64)),
-                        ("steps".into(), Value::Number(f64::from(r.steps))),
-                        ("ops".into(), Value::Number(r.ops as f64)),
-                        (
-                            "payload_bytes".into(),
-                            Value::Number(r.payload_bytes as f64),
-                        ),
-                        ("makespan_ms".into(), Value::Number(r.makespan_ms)),
-                        ("avg_delay_ms".into(), Value::Number(r.avg_delay_ms)),
-                        ("blocks".into(), Value::Number(r.blocks as f64)),
-                        ("verified".into(), Value::Bool(r.verified)),
-                    ])
-                })
-                .collect(),
-        );
-        let traffic = Value::Array(
-            self.traffic
-                .iter()
-                .map(|t| {
-                    Value::Object(vec![
-                        ("suite".into(), Value::String(t.suite.clone())),
-                        ("family".into(), Value::String(t.family.clone())),
-                        ("mean_latency_ms".into(), Value::Number(t.mean_latency_ms)),
-                        ("completion_ratio".into(), Value::Number(t.completion_ratio)),
-                        (
-                            "throughput_per_ms".into(),
-                            Value::Number(t.throughput_per_ms),
-                        ),
-                        ("cache_hit_rate".into(), Value::Number(t.cache_hit_rate)),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("collectives_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Collective suite: schedules, data-oracle verification, and traffic".into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("rows".into(), rows),
-            ("traffic".into(), traffic),
-        ])
+record!(CollectivesConfig {
+    block_bytes,
+    traffic_sessions,
+    traffic_rate_per_ms,
+    traffic_bytes,
+    seed,
+});
+record!(ScheduleRow {
+    suite,
+    network,
+    family,
+    nodes,
+    steps,
+    ops,
+    payload_bytes,
+    makespan_ms,
+    avg_delay_ms,
+    blocks,
+    verified,
+});
+record!(TrafficRow {
+    suite,
+    family,
+    mean_latency_ms,
+    completion_ratio,
+    throughput_per_ms,
+    cache_hit_rate,
+});
+record!(CollectivesSweep {
+    const "id" = ID,
+    const "title" = TITLE,
+    config,
+    rows,
+    traffic,
+});
+
+const ID: &str = "collectives_sweep";
+const TITLE: &str = "Collective suite: schedules, data-oracle verification, and traffic";
+
+impl Artifact for CollectivesSweep {
+    fn id(&self) -> &str {
+        ID
     }
 
-    /// Serializes the sweep as pretty-printed JSON through the strict
-    /// writer: a non-finite statistic fails here instead of silently
-    /// becoming `null` in a committed artifact.
-    ///
-    /// # Errors
-    /// [`EmitError`] naming the path of the first non-finite number.
-    pub fn to_json(&self) -> Result<String, EmitError> {
-        self.to_value().to_string_pretty_strict()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`CollectivesSweep::to_json`] — the schema check CI runs against
-    /// the committed `results/collectives_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<CollectivesSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "collectives_sweep" {
-            return Err(format!("unexpected id {id:?}"));
+    /// Every schedule row must carry the data oracle's certificate.
+    fn check(&self) -> Result<(), String> {
+        let unverified: Vec<String> = self
+            .rows
+            .iter()
+            .filter(|r| !r.verified)
+            .map(|r| format!("{} {} {}", r.suite, r.network, r.family))
+            .collect();
+        if unverified.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("oracle-unverified rows: {}", unverified.join(", ")))
         }
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let get_str = |obj: &Value, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field: {key}"))
-        };
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let config = CollectivesConfig {
-            block_bytes: get_num(cfg, "block_bytes")? as u32,
-            traffic_sessions: get_num(cfg, "traffic_sessions")? as usize,
-            traffic_rate_per_ms: get_num(cfg, "traffic_rate_per_ms")?,
-            traffic_bytes: get_num(cfg, "traffic_bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-        };
-        let rows_v = v
-            .get("rows")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: rows")?;
-        let mut rows = Vec::with_capacity(rows_v.len());
-        for (i, r) in rows_v.iter().enumerate() {
-            let verified = match r.get("verified") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err(format!("rows[{i}]: missing boolean field verified")),
-            };
-            rows.push(ScheduleRow {
-                suite: get_str(r, "suite").map_err(|e| format!("rows[{i}]: {e}"))?,
-                network: get_str(r, "network").map_err(|e| format!("rows[{i}]: {e}"))?,
-                family: get_str(r, "family").map_err(|e| format!("rows[{i}]: {e}"))?,
-                nodes: get_num(r, "nodes")? as usize,
-                steps: get_num(r, "steps")? as u32,
-                ops: get_num(r, "ops")? as usize,
-                payload_bytes: get_num(r, "payload_bytes")? as u64,
-                makespan_ms: get_num(r, "makespan_ms")?,
-                avg_delay_ms: get_num(r, "avg_delay_ms")?,
-                blocks: get_num(r, "blocks")? as u64,
-                verified,
-            });
-        }
-        let traffic_v = v
-            .get("traffic")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: traffic")?;
-        let mut traffic = Vec::with_capacity(traffic_v.len());
-        for (i, t) in traffic_v.iter().enumerate() {
-            traffic.push(TrafficRow {
-                suite: get_str(t, "suite").map_err(|e| format!("traffic[{i}]: {e}"))?,
-                family: get_str(t, "family").map_err(|e| format!("traffic[{i}]: {e}"))?,
-                mean_latency_ms: get_num(t, "mean_latency_ms")?,
-                completion_ratio: get_num(t, "completion_ratio")?,
-                throughput_per_ms: get_num(t, "throughput_per_ms")?,
-                cache_hit_rate: get_num(t, "cache_hit_rate")?,
-            });
-        }
-        Ok(CollectivesSweep {
-            config,
-            rows,
-            traffic,
-        })
     }
 
     /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("Collective suite: schedules, data-oracle verification, and traffic\n");
+        out.push_str(TITLE);
+        out.push('\n');
         out.push_str(&format!(
             "block = {} B, traffic: {} sessions @ {} /ms, {} B blocks, seed = {}\n",
             self.config.block_bytes,
@@ -476,17 +367,20 @@ impl CollectivesSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{from_json, to_json};
 
     #[test]
     fn smoke_sweep_is_deterministic_verified_and_round_trips() {
         let cfg = CollectivesConfig::smoke();
         let a = collectives_sweep(&cfg);
         let b = collectives_sweep(&cfg);
+        let json = to_json(&a).unwrap();
         assert_eq!(
-            a.to_json().unwrap(),
-            b.to_json().unwrap(),
+            json,
+            to_json(&b).unwrap(),
             "sweep must regenerate bit-identically"
         );
+        assert_eq!(a.check(), Ok(()));
 
         // 3 collectives x 5 cube families + 3 torus rows.
         assert_eq!(a.rows.len(), 18);
@@ -505,8 +399,8 @@ mod tests {
             assert!(t.completion_ratio > 0.0, "{} {}", t.suite, t.family);
         }
 
-        let parsed = CollectivesSweep::from_json(&a.to_json().unwrap()).unwrap();
-        assert_eq!(parsed.to_json().unwrap(), a.to_json().unwrap());
+        let parsed: CollectivesSweep = from_json(&json).unwrap();
+        assert_eq!(to_json(&parsed).unwrap(), json);
         assert_eq!(parsed, a);
     }
 
@@ -532,29 +426,33 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_rows_fail_at_emit_time_with_a_path() {
+        let mut sweep = collectives_sweep(&CollectivesConfig::smoke());
+        assert!(to_json(&sweep).is_ok());
+        sweep.rows[2].avg_delay_ms = f64::NAN;
+        let err = to_json(&sweep).unwrap_err();
+        assert_eq!(err.path, "/rows/2/avg_delay_ms", "{err}");
+        sweep.rows[2].avg_delay_ms = 1.0;
+        sweep.rows[4].verified = false;
+        assert!(sweep.check().unwrap_err().contains("allgather cube5"));
+    }
+
+    #[test]
     fn from_json_rejects_schema_violations() {
-        assert!(CollectivesSweep::from_json("{}").is_err());
-        assert!(CollectivesSweep::from_json("not json").is_err());
-        assert!(CollectivesSweep::from_json("[3]").is_err());
+        assert!(from_json::<CollectivesSweep>("{}").is_err());
+        assert!(from_json::<CollectivesSweep>("not json").is_err());
+        assert!(from_json::<CollectivesSweep>("[3]").is_err());
         let wrong_id = r#"{ "id": "traffic_sweep", "config": {}, "rows": [], "traffic": [] }"#;
-        assert!(CollectivesSweep::from_json(wrong_id).is_err());
+        assert!(from_json::<CollectivesSweep>(wrong_id).is_err());
         let missing_verified = r#"{ "id": "collectives_sweep",
+            "title": "Collective suite: schedules, data-oracle verification, and traffic",
             "config": { "block_bytes": 1, "traffic_sessions": 1,
                         "traffic_rate_per_ms": 1, "traffic_bytes": 1, "seed": 1 },
             "rows": [ { "suite": "allgather", "network": "cube5", "family": "Bine",
                         "nodes": 32, "steps": 5, "ops": 10, "payload_bytes": 100,
                         "makespan_ms": 1.0, "avg_delay_ms": 0.5, "blocks": 0 } ],
             "traffic": [] }"#;
-        let err = CollectivesSweep::from_json(missing_verified).unwrap_err();
-        assert!(err.contains("verified"), "{err}");
-    }
-
-    #[test]
-    fn poisoned_rows_fail_at_emit_time_with_a_path() {
-        let mut sweep = collectives_sweep(&CollectivesConfig::smoke());
-        assert!(sweep.to_json().is_ok());
-        sweep.rows[2].avg_delay_ms = f64::NAN;
-        let err = sweep.to_json().unwrap_err();
-        assert!(err.path.contains("/rows/2/avg_delay_ms"), "{err}");
+        let err = from_json::<CollectivesSweep>(missing_verified).unwrap_err();
+        assert!(err.to_string().contains("verified"), "{err}");
     }
 }

@@ -3,8 +3,10 @@
 //! Every experiment produces a [`Figure`]: named series over a shared
 //! x-axis. Figures render as aligned text tables (the canonical artifact
 //! recorded in EXPERIMENTS.md), as quick ASCII plots for eyeballing the
-//! curve shapes the paper shows, and as JSON for archival.
+//! curve shapes the paper shows, and as JSON for archival through
+//! [`crate::artifact`].
 
+use crate::artifact::{record, Artifact};
 use std::fmt::Write as _;
 
 /// One curve of a figure.
@@ -137,103 +139,32 @@ impl Figure {
         let _ = writeln!(out, " legend: {}", legend.join("  "));
         out
     }
+}
 
-    fn to_value(&self) -> crate::json::Value {
-        use crate::json::Value;
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let nums = |v: &[f64]| Value::Array(v.iter().map(|&x| Value::Number(x)).collect());
-                Value::Object(vec![
-                    ("name".into(), Value::from(s.name.as_str())),
-                    ("xs".into(), nums(&s.xs)),
-                    ("ys".into(), nums(&s.ys)),
-                    ("std".into(), nums(&s.std)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("id".into(), Value::from(self.id.as_str())),
-            ("title".into(), Value::from(self.title.as_str())),
-            ("x_label".into(), Value::from(self.x_label.as_str())),
-            ("y_label".into(), Value::from(self.y_label.as_str())),
-            ("series".into(), Value::Array(series)),
-        ])
+record!(Series { name, xs, ys, std });
+record!(Figure {
+    id,
+    title,
+    x_label,
+    y_label,
+    series,
+});
+
+impl Artifact for Figure {
+    fn id(&self) -> &str {
+        &self.id
     }
 
-    /// Serializes the figure as pretty JSON (via [`crate::json`]).
-    /// Lenient: non-finite points serialize as `null` (golden artifacts
-    /// pin these bytes). Artifact pipelines that must not silently
-    /// launder a NaN use [`Figure::to_json_strict`].
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
-    }
-
-    /// [`Figure::to_json`] that fails fast on non-finite points instead
-    /// of writing `null`. Byte-identical to [`Figure::to_json`] whenever
-    /// it succeeds.
-    ///
-    /// # Errors
-    /// [`crate::json::EmitError`] naming the poisoned point.
-    pub fn to_json_strict(&self) -> Result<String, crate::json::EmitError> {
-        self.to_value().to_string_pretty_strict()
-    }
-
-    /// Parses a figure previously produced by [`Figure::to_json`].
-    ///
-    /// # Errors
-    /// Returns a message describing the first malformed or missing field.
-    pub fn from_json(text: &str) -> Result<Figure, String> {
-        use crate::json::Value;
-        let v = crate::json::parse(text).map_err(|e| e.to_string())?;
-        let field = |key: &str| -> Result<String, String> {
-            v[key]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field `{key}`"))
-        };
-        let nums = |v: &Value, key: &str| -> Result<Vec<f64>, String> {
-            v[key]
-                .as_array()
-                .ok_or_else(|| format!("missing array field `{key}`"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("non-numeric entry in `{key}`"))
-                })
-                .collect()
-        };
-        let series = v["series"]
-            .as_array()
-            .ok_or_else(|| "missing array field `series`".to_string())?
-            .iter()
-            .map(|s| {
-                Ok(Series {
-                    name: s["name"]
-                        .as_str()
-                        .ok_or_else(|| "series missing `name`".to_string())?
-                        .to_string(),
-                    xs: nums(s, "xs")?,
-                    ys: nums(s, "ys")?,
-                    std: nums(s, "std")?,
-                })
-            })
-            .collect::<Result<Vec<Series>, String>>()?;
-        Ok(Figure {
-            id: field("id")?,
-            title: field("title")?,
-            x_label: field("x_label")?,
-            y_label: field("y_label")?,
-            series,
-        })
+    /// The table, a blank line, then a 72×18 ASCII plot.
+    fn render(&self) -> String {
+        format!("{}\n{}", self.to_table(), self.to_ascii_plot(72, 18))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{from_json, to_json};
 
     fn sample() -> Figure {
         Figure {
@@ -297,8 +228,8 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let f = sample();
-        let j = f.to_json();
-        let back = Figure::from_json(&j).unwrap();
+        let j = to_json(&f).unwrap();
+        let back: Figure = from_json(&j).unwrap();
         assert_eq!(back.id, f.id);
         assert_eq!(back.series.len(), 2);
         assert_eq!(back.series[0].ys, f.series[0].ys);
@@ -307,18 +238,16 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed() {
-        assert!(Figure::from_json("not json").is_err());
-        assert!(Figure::from_json("{\"id\": 3}").is_err());
+        assert!(from_json::<Figure>("not json").is_err());
+        assert!(from_json::<Figure>("{\"id\": 3}").is_err());
     }
 
     #[test]
     fn strict_json_fails_fast_on_poisoned_points() {
         let mut f = sample();
-        assert_eq!(f.to_json_strict().unwrap(), f.to_json());
+        assert!(to_json(&f).is_ok());
         f.series[1].ys[0] = f64::NAN;
-        let err = f.to_json_strict().unwrap_err();
-        assert!(err.path.contains("/series/1/ys/0"), "{err}");
-        // The lenient writer still launders it to null (pinned bytes).
-        assert!(f.to_json().contains("null"));
+        let err = to_json(&f).unwrap_err();
+        assert_eq!(err.path, "/series/1/ys/0", "{err}");
     }
 }

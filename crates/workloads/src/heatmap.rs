@@ -199,8 +199,8 @@ mod tests {
 
     #[test]
     fn heatmap_is_deterministic() {
-        let a = contention_heatmap(2).to_json();
-        let b = contention_heatmap(2).to_json();
+        let a = crate::artifact::to_json(&contention_heatmap(2)).unwrap();
+        let b = crate::artifact::to_json(&contention_heatmap(2)).unwrap();
         assert_eq!(a, b, "same trials must regenerate bit-identically");
     }
 

@@ -22,7 +22,9 @@
 //!   64-node hypercube vs a 64-node k-ary n-cube torus;
 //! * [`heatmap`] — measured per-dimension channel contention per
 //!   algorithm, recorded in-loop by `wormsim::EventRecorder`;
-//! * [`figure`] — the data model plus table / ASCII-plot / JSON output;
+//! * [`figure`] — the data model plus table / ASCII-plot output;
+//! * [`artifact`] — the one codec, `--check` contract and registry
+//!   behind every committed artifact under `results/`;
 //! * [`lanesweep`] — virtual-lane ladder: contention of naive multicast
 //!   trees vs lanes-per-link on cube, torus, and mesh networks;
 //! * [`telemetrysweep`] — the flight recorder's windowed time-series
@@ -36,14 +38,15 @@
 //!   builders and report formatters shared with the one-shot CLI;
 //! * [`stats`] — summary statistics.
 //!
-//! Regeneration binaries live in the `bench` crate
-//! (`cargo run -p bench --release --bin all_figures`).
+//! The `bench` crate's `artifacts` binary regenerates and checks them
+//! (`cargo run -p bench --release --bin artifacts -- --regen all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod ablations;
+pub mod artifact;
 pub mod chaossweep;
 pub mod collectivessweep;
 pub mod destsets;

@@ -74,10 +74,24 @@ pub fn run_matrix<const K: usize, F>(
 where
     F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
 {
-    let workers = std::thread::available_parallelism()
+    run_matrix_with_workers(
+        experiment,
+        cube,
+        points,
+        trials,
+        algos,
+        default_workers(),
+        metric,
+    )
+}
+
+/// Worker threads of every parallel sweep: the host's available
+/// parallelism, capped at 32. Results never depend on it.
+#[must_use]
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism()
         .map_or(4, |p| p.get())
-        .min(32);
-    run_matrix_with_workers(experiment, cube, points, trials, algos, workers, metric)
+        .min(32)
 }
 
 /// [`run_matrix`] with an explicit worker-thread count.

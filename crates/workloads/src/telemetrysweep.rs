@@ -13,7 +13,7 @@
 //!
 //! The artifact makes self-healing *visible*: goodput dips while faults
 //! are live (sessions fail and back off) and refills after churn ends
-//! as the retry tail drains — [`TelemetrySweep::check_recovery`] pins
+//! as the retry tail drains — [`Artifact::check`] pins
 //! exactly that shape, and CI validates the committed
 //! `results/telemetry_sweep.{txt,json}` with it.
 //!
@@ -21,15 +21,14 @@
 //! series, so identical configs regenerate the artifact byte-for-byte
 //! at any worker count; the determinism suite pins it.
 
-use crate::json::{self, Value};
-use crate::trafficsweep::{horizon_for, run_seed};
+use crate::artifact::{record, Artifact};
+use crate::chaossweep::{churn_until, RunTarget};
+use crate::sweep::default_workers;
+use crate::trafficsweep::{pool, pool_spec, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, RetryPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles, Telemetry,
-    TelemetryConfig, TrafficSpec,
+    ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles, Telemetry, TelemetryConfig,
 };
 use wormsim::{Histogram, SimParams, SimTime};
 
@@ -119,10 +118,11 @@ pub struct TelemetryRow {
     pub delivered: u64,
     /// Delivered per millisecond of bucket width.
     pub goodput_per_ms: f64,
-    /// Median latency of sessions completing here, ms (NaN when none).
-    pub p50_ms: f64,
-    /// 95th-percentile latency, ms (NaN when none).
-    pub p95_ms: f64,
+    /// Median latency of sessions completing here, ms (`None` when
+    /// none completed).
+    pub p50_ms: Option<f64>,
+    /// 95th-percentile latency, ms (`None` when none completed).
+    pub p95_ms: Option<f64>,
     /// Tree-cache hits among lookups launched in this bucket.
     pub cache_hits: u64,
     /// Tree-cache lookups launched in this bucket.
@@ -177,12 +177,6 @@ pub struct TelemetrySweep {
     pub series: Vec<TelemetrySeries>,
 }
 
-/// What one series simulates.
-enum RunTarget {
-    Cube { cube: Cube, algo: Algorithm },
-    Torus { torus: Torus },
-}
-
 struct RunTask {
     target: RunTarget,
     network: &'static str,
@@ -193,24 +187,23 @@ struct RunTask {
 }
 
 fn chaos_spec_for(cfg: &TelemetrySweepConfig, task: &RunTask) -> ChaosSpec {
-    let mut t = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, cfg.rate_per_ms),
-        task.pattern.clone(),
+    let traffic = pool_spec(
+        &task.pattern,
+        cfg.rate_per_ms,
         cfg.sessions,
+        cfg.bytes,
+        cfg.pool_groups,
         task.seed,
     );
-    t.bytes = cfg.bytes;
-    t.horizon = horizon_for(cfg.sessions, cfg.rate_per_ms);
-    t.cache_capacity = 2 * cfg.pool_groups;
     let churn = ChurnSpec {
         link_mtbf_ms: cfg.link_mtbf_ms,
         link_mttr_ms: cfg.link_mttr_ms,
         node_mtbf_ms: cfg.link_mtbf_ms * cfg.node_mtbf_factor,
         node_mttr_ms: cfg.node_mttr_ms,
-        churn_until: SimTime::from_ns((t.horizon.as_ns() as f64 * cfg.churn_fraction) as u64),
+        churn_until: churn_until(traffic.horizon, cfg.churn_fraction),
     };
     ChaosSpec {
-        traffic: t,
+        traffic,
         churn,
         retry: cfg.retry,
     }
@@ -238,8 +231,8 @@ fn series_for(
             offered: b.offered,
             delivered: b.delivered,
             goodput_per_ms: b.goodput_per_ms,
-            p50_ms: b.quantiles.p50_ms,
-            p95_ms: b.quantiles.p95_ms,
+            p50_ms: (b.delivered > 0).then_some(b.quantiles.p50_ms),
+            p95_ms: (b.delivered > 0).then_some(b.quantiles.p95_ms),
             cache_hits: b.cache_hits,
             cache_lookups: b.cache_lookups,
             live_faults: b.live_faults,
@@ -287,11 +280,11 @@ fn run_task(cfg: &TelemetrySweepConfig, task: &RunTask) -> TelemetrySeries {
     series_for(task, &spec, &report, &tel)
 }
 
-/// Runs the full telemetry sweep single-threaded. Deterministic:
-/// identical configs give byte-identical JSON.
+/// Runs the full telemetry sweep on one worker per available core (at
+/// most 32). Deterministic: identical configs give byte-identical JSON.
 #[must_use]
 pub fn telemetry_sweep(cfg: &TelemetrySweepConfig) -> TelemetrySweep {
-    telemetry_sweep_with_workers(cfg, 1)
+    telemetry_sweep_with_workers(cfg, default_workers())
 }
 
 /// [`telemetry_sweep`] with a worker pool. Every series is an
@@ -305,8 +298,7 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
     assert!(workers > 0, "need at least one worker");
 
     let cube = Cube::of(6);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "cube6", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, cfg.m);
+    let pattern = pool(cfg.seed, "cube6", &cube, cfg.pool_groups, cfg.m);
     let mut tasks: Vec<RunTask> = Algorithm::PAPER
         .iter()
         .enumerate()
@@ -320,13 +312,12 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
         })
         .collect();
     let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
     tasks.push(RunTask {
         target: RunTarget::Torus { torus },
         network: "torus4x3",
         nodes: 64,
         algorithm: "Separate".into(),
-        pattern: DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, cfg.m),
+        pattern: pool(cfg.seed, "torus4x3", &torus, cfg.pool_groups, cfg.m),
         seed: run_seed(cfg.seed, "torus4x3", "Separate", 0),
     });
 
@@ -341,10 +332,68 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
 }
 
 // ----------------------------------------------------------------------
-// Validation
+// The artifact: schema, `.txt` rendering, recovery-shape check.
 // ----------------------------------------------------------------------
 
-impl TelemetrySweep {
+record!(TelemetrySweepConfig {
+    sessions,
+    pool_groups,
+    m,
+    bytes,
+    seed,
+    const "arrivals" = "poisson",
+    rate_per_ms,
+    buckets,
+    link_mtbf_ms,
+    link_mttr_ms,
+    node_mtbf_factor,
+    node_mttr_ms,
+    churn_fraction,
+    retry,
+});
+record!(TelemetryRow {
+    start_ms,
+    offered,
+    delivered,
+    goodput_per_ms,
+    p50_ms,
+    p95_ms,
+    cache_hits,
+    cache_lookups,
+    live_faults,
+    blocked_ns_per_dim,
+});
+record!(TelemetrySeries {
+    network,
+    nodes,
+    algorithm,
+    delivery_ratio,
+    mean_latency_ms,
+    p95_ms,
+    attempts,
+    lost,
+    fault_events,
+    time_to_recover_ms,
+    churn_until_ms,
+    horizon_ms,
+    bucket_ms,
+    "buckets" => rows,
+});
+record!(TelemetrySweep {
+    const "id" = ID,
+    const "title" = TITLE,
+    config,
+    series,
+});
+
+const ID: &str = "telemetry_sweep";
+const TITLE: &str = "Windowed telemetry: goodput dip and refill across a churn-and-recover window";
+
+impl Artifact for TelemetrySweep {
+    fn id(&self) -> &str {
+        ID
+    }
+
     /// Checks the self-healing shape the artifact exists to show: in
     /// every series that saw fault events, (a) bucket sums reconcile
     /// with the session count, (b) some bucket had live faults, and
@@ -353,7 +402,7 @@ impl TelemetrySweep {
     ///
     /// # Errors
     /// A message naming the first series violating the shape.
-    pub fn check_recovery(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         for s in &self.series {
             let offered: u64 = s.rows.iter().map(|r| r.offered).sum();
             if offered != self.config.sessions as u64 {
@@ -397,258 +446,13 @@ impl TelemetrySweep {
         }
         Ok(())
     }
-}
-
-// ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
-// ----------------------------------------------------------------------
-
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
-    }
-}
-
-fn u64s_value(xs: &[u64]) -> Value {
-    Value::Array(xs.iter().map(|&x| Value::Number(x as f64)).collect())
-}
-
-impl TelemetrySweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result). Empty-bucket quantiles are `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let retry = Value::Object(vec![
-            (
-                "max_retries".into(),
-                Value::Number(f64::from(c.retry.max_retries)),
-            ),
-            (
-                "base_backoff_us".into(),
-                Value::Number(c.retry.base_backoff as f64),
-            ),
-            (
-                "backoff_factor".into(),
-                Value::Number(c.retry.backoff_factor as f64),
-            ),
-        ]);
-        let config = Value::Object(vec![
-            ("sessions".into(), Value::Number(c.sessions as f64)),
-            ("pool_groups".into(), Value::Number(c.pool_groups as f64)),
-            ("m".into(), Value::Number(c.m as f64)),
-            ("bytes".into(), Value::Number(f64::from(c.bytes))),
-            ("seed".into(), Value::Number(c.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("rate_per_ms".into(), Value::Number(c.rate_per_ms)),
-            ("buckets".into(), Value::Number(c.buckets as f64)),
-            ("link_mtbf_ms".into(), Value::Number(c.link_mtbf_ms)),
-            ("link_mttr_ms".into(), Value::Number(c.link_mttr_ms)),
-            ("node_mtbf_factor".into(), Value::Number(c.node_mtbf_factor)),
-            ("node_mttr_ms".into(), Value::Number(c.node_mttr_ms)),
-            ("churn_fraction".into(), Value::Number(c.churn_fraction)),
-            ("retry".into(), retry),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    let rows = Value::Array(
-                        s.rows
-                            .iter()
-                            .map(|r| {
-                                Value::Object(vec![
-                                    ("start_ms".into(), Value::Number(r.start_ms)),
-                                    ("offered".into(), Value::Number(r.offered as f64)),
-                                    ("delivered".into(), Value::Number(r.delivered as f64)),
-                                    ("goodput_per_ms".into(), Value::Number(r.goodput_per_ms)),
-                                    ("p50_ms".into(), num_or_null(r.p50_ms)),
-                                    ("p95_ms".into(), num_or_null(r.p95_ms)),
-                                    ("cache_hits".into(), Value::Number(r.cache_hits as f64)),
-                                    (
-                                        "cache_lookups".into(),
-                                        Value::Number(r.cache_lookups as f64),
-                                    ),
-                                    ("live_faults".into(), Value::Number(r.live_faults as f64)),
-                                    (
-                                        "blocked_ns_per_dim".into(),
-                                        u64s_value(&r.blocked_ns_per_dim),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("delivery_ratio".into(), Value::Number(s.delivery_ratio)),
-                        ("mean_latency_ms".into(), num_or_null(s.mean_latency_ms)),
-                        ("p95_ms".into(), num_or_null(s.p95_ms)),
-                        ("attempts".into(), Value::Number(s.attempts as f64)),
-                        ("lost".into(), Value::Number(s.lost as f64)),
-                        ("fault_events".into(), Value::Number(s.fault_events as f64)),
-                        (
-                            "time_to_recover_ms".into(),
-                            s.time_to_recover_ms.map_or(Value::Null, Value::Number),
-                        ),
-                        ("churn_until_ms".into(), Value::Number(s.churn_until_ms)),
-                        ("horizon_ms".into(), Value::Number(s.horizon_ms)),
-                        ("bucket_ms".into(), Value::Number(s.bucket_ms)),
-                        ("buckets".into(), rows),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("telemetry_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Windowed telemetry: goodput dip and refill across a churn-and-recover window"
-                        .into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`TelemetrySweep::to_json`] — the schema check CI runs against
-    /// the committed `results/telemetry_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<TelemetrySweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "telemetry_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let retry_v = cfg.get("retry").ok_or("missing object field: retry")?;
-        let config = TelemetrySweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            m: get_num(cfg, "m")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            rate_per_ms: get_num(cfg, "rate_per_ms")?,
-            buckets: get_num(cfg, "buckets")? as usize,
-            link_mtbf_ms: get_num(cfg, "link_mtbf_ms")?,
-            link_mttr_ms: get_num(cfg, "link_mttr_ms")?,
-            node_mtbf_factor: get_num(cfg, "node_mtbf_factor")?,
-            node_mttr_ms: get_num(cfg, "node_mttr_ms")?,
-            churn_fraction: get_num(cfg, "churn_fraction")?,
-            retry: RetryPolicy {
-                max_retries: get_num(retry_v, "max_retries")? as u32,
-                base_backoff: get_num(retry_v, "base_backoff_us")? as u64,
-                backoff_factor: get_num(retry_v, "backoff_factor")? as u64,
-            },
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            // NaN (empty-bucket quantiles) serialize as null.
-            let opt_num = |obj: &Value, key: &str| -> Result<f64, String> {
-                match obj.get(key) {
-                    Some(Value::Null) => Ok(f64::NAN),
-                    Some(x) => x
-                        .as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric {key}")),
-                    None => Err(ctx(key)),
-                }
-            };
-            let time_to_recover_ms = match s.get("time_to_recover_ms") {
-                Some(Value::Null) => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric time_to_recover_ms"))?,
-                ),
-                None => return Err(ctx("time_to_recover_ms")),
-            };
-            let rows_v = s
-                .get("buckets")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("buckets"))?;
-            let mut rows = Vec::with_capacity(rows_v.len());
-            for r in rows_v {
-                let dims = r
-                    .get("blocked_ns_per_dim")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ctx("blocked_ns_per_dim"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().map(|n| n as u64).ok_or_else(|| {
-                            format!("series[{i}]: non-numeric blocked_ns_per_dim entry")
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-                rows.push(TelemetryRow {
-                    start_ms: get_num(r, "start_ms")?,
-                    offered: get_num(r, "offered")? as u64,
-                    delivered: get_num(r, "delivered")? as u64,
-                    goodput_per_ms: get_num(r, "goodput_per_ms")?,
-                    p50_ms: opt_num(r, "p50_ms")?,
-                    p95_ms: opt_num(r, "p95_ms")?,
-                    cache_hits: get_num(r, "cache_hits")? as u64,
-                    cache_lookups: get_num(r, "cache_lookups")? as u64,
-                    live_faults: get_num(r, "live_faults")? as u64,
-                    blocked_ns_per_dim: dims,
-                });
-            }
-            series.push(TelemetrySeries {
-                network: s
-                    .get("network")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx("network"))?
-                    .to_string(),
-                nodes: get_num(s, "nodes")? as usize,
-                algorithm: s
-                    .get("algorithm")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx("algorithm"))?
-                    .to_string(),
-                delivery_ratio: get_num(s, "delivery_ratio")?,
-                mean_latency_ms: opt_num(s, "mean_latency_ms")?,
-                p95_ms: opt_num(s, "p95_ms")?,
-                attempts: get_num(s, "attempts")? as u64,
-                lost: get_num(s, "lost")? as u64,
-                fault_events: get_num(s, "fault_events")? as u64,
-                time_to_recover_ms,
-                churn_until_ms: get_num(s, "churn_until_ms")?,
-                horizon_ms: get_num(s, "horizon_ms")?,
-                bucket_ms: get_num(s, "bucket_ms")?,
-                rows,
-            });
-        }
-        Ok(TelemetrySweep { config, series })
-    }
 
     /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
+    fn render(&self) -> String {
         let c = &self.config;
         let mut out = String::new();
-        out.push_str(
-            "Windowed telemetry: goodput dip and refill across a churn-and-recover window\n",
-        );
+        out.push_str(TITLE);
+        out.push('\n');
         out.push_str(&format!(
             "sessions/series = {}, pool = {} groups (m = {}), payload = {} B, seed = {}, {} /ms poisson\n",
             c.sessions, c.pool_groups, c.m, c.bytes, c.seed, c.rate_per_ms
@@ -682,17 +486,9 @@ impl TelemetrySweep {
             out.push_str(
                 "   t ms   offered   delivered   goodput/ms   p50 ms   p95 ms   cache h/l   faults   blocked µs\n",
             );
+            let quantile = |q: Option<f64>| q.map_or("     -".into(), |q| format!("{q:>6.3}"));
             for r in &s.rows {
-                let p50 = if r.p50_ms.is_finite() {
-                    format!("{:>6.3}", r.p50_ms)
-                } else {
-                    "     -".into()
-                };
-                let p95 = if r.p95_ms.is_finite() {
-                    format!("{:>6.3}", r.p95_ms)
-                } else {
-                    "     -".into()
-                };
+                let (p50, p95) = (quantile(r.p50_ms), quantile(r.p95_ms));
                 let blocked_us: f64 = r.blocked_ns_per_dim.iter().sum::<u64>() as f64 / 1000.0;
                 out.push_str(&format!(
                     "  {:>5.1}   {:>7}   {:>9}   {:>10.4}   {}   {}   {:>9}   {:>6}   {:>10.3}\n",
@@ -715,6 +511,7 @@ impl TelemetrySweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{from_json, to_json};
 
     fn tiny() -> TelemetrySweepConfig {
         TelemetrySweepConfig {
@@ -733,7 +530,8 @@ mod tests {
         let cfg = tiny();
         let a = telemetry_sweep(&cfg);
         let b = telemetry_sweep(&cfg);
-        assert_eq!(a.to_json(), b.to_json());
+        let json = to_json(&a).unwrap();
+        assert_eq!(json, to_json(&b).unwrap());
 
         // 4 cube algorithms + the torus baseline.
         assert_eq!(a.series.len(), 5);
@@ -745,8 +543,8 @@ mod tests {
             );
         }
 
-        let parsed = TelemetrySweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed: TelemetrySweep = from_json(&json).unwrap();
+        assert_eq!(to_json(&parsed).unwrap(), json, "JSON round-trip");
         assert_eq!(parsed.config, a.config);
     }
 
@@ -755,22 +553,22 @@ mod tests {
         let cfg = tiny();
         let serial = telemetry_sweep_with_workers(&cfg, 1);
         let pooled = telemetry_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json(), pooled.to_json());
-        assert_eq!(serial.to_table(), pooled.to_table());
+        assert_eq!(to_json(&serial).unwrap(), to_json(&pooled).unwrap());
+        assert_eq!(serial.render(), pooled.render());
     }
 
     #[test]
     fn smoke_sweep_shows_the_recovery_shape() {
         let sweep = telemetry_sweep(&TelemetrySweepConfig::smoke());
-        sweep.check_recovery().expect("dip-and-refill must hold");
+        sweep.check().expect("dip-and-refill must hold");
     }
 
     #[test]
     fn from_json_rejects_schema_violations() {
-        assert!(TelemetrySweep::from_json("{}").is_err());
-        assert!(TelemetrySweep::from_json("[1]").is_err());
-        assert!(TelemetrySweep::from_json("not json").is_err());
+        assert!(from_json::<TelemetrySweep>("{}").is_err());
+        assert!(from_json::<TelemetrySweep>("[1]").is_err());
+        assert!(from_json::<TelemetrySweep>("not json").is_err());
         let wrong_id = r#"{ "id": "chaos_sweep", "config": {}, "series": [] }"#;
-        assert!(TelemetrySweep::from_json(wrong_id).is_err());
+        assert!(from_json::<TelemetrySweep>(wrong_id).is_err());
     }
 }

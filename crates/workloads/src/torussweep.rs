@@ -103,8 +103,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = torus_sweep(2).to_json();
-        let b = torus_sweep(2).to_json();
+        let a = crate::artifact::to_json(&torus_sweep(2)).unwrap();
+        let b = crate::artifact::to_json(&torus_sweep(2)).unwrap();
         assert_eq!(a, b, "same trials must regenerate bit-identically");
     }
 

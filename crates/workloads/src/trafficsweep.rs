@@ -14,12 +14,14 @@
 //! regenerate `results/traffic_sweep.{txt,json}` byte-for-byte, and the
 //! determinism suite pins it.
 
-use crate::json::{self, Value};
-use hcube::{Cube, Resolution, Torus, TorusRouter};
+use crate::artifact::{record, Artifact};
+use hcube::{Cube, Resolution, Topology, Torus, TorusRouter};
 use hypercast::{Algorithm, CacheStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traffic::{saturation_point, ArrivalProcess, Arrivals, DestPattern, LoadPoint, TrafficSpec};
+use traffic::{
+    saturation_point, ArrivalProcess, Arrivals, DestPattern, LoadPoint, TrafficReport, TrafficSpec,
+};
 use wormsim::{EngineScratch, SimParams, SimTime};
 
 /// Latency divergence factor that declares saturation (mean latency
@@ -81,7 +83,8 @@ pub struct SweepPoint {
     pub offered_per_ms: f64,
     /// Mean session latency (ms) among completed measured sessions.
     pub mean_latency_ms: f64,
-    /// Batch-means 95% CI half-width (ms); NaN with < 2 batches.
+    /// Batch-means 95% CI half-width (ms); NaN with < 2 batches, which
+    /// the strict emitter rejects.
     pub ci_half_width_ms: f64,
     /// Fraction of measured sessions completing inside the window.
     pub completion_ratio: f64,
@@ -145,16 +148,35 @@ pub(crate) fn horizon_for(sessions: usize, rate_per_ms: f64) -> SimTime {
     SimTime::from_ms((sessions as f64 / rate_per_ms * 1.25 + 30.0) as u64)
 }
 
-fn spec_for(cfg: &SweepConfig, pattern: &DestPattern, rate: f64, seed: u64) -> TrafficSpec {
-    let mut spec = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, rate),
-        pattern.clone(),
-        cfg.sessions,
-        seed,
-    );
-    spec.bytes = cfg.bytes;
-    spec.horizon = horizon_for(cfg.sessions, rate);
-    spec.cache_capacity = 2 * cfg.pool_groups;
+/// The recurring destination pool of one network: drawn once per
+/// network and shared by every algorithm and grid point on it, so the
+/// curves are an apples-to-apples comparison.
+pub(crate) fn pool<T: Topology>(
+    seed: u64,
+    network: &str,
+    topo: &T,
+    groups: usize,
+    m: usize,
+) -> DestPattern {
+    let mut rng = StdRng::seed_from_u64(run_seed(seed, network, "pool", 0));
+    DestPattern::uniform_pool(&mut rng, topo, groups, m)
+}
+
+/// Poisson sessions over `pattern` at `rate`, with the observation
+/// window sized to the schedule and a tree cache twice the pool.
+pub(crate) fn pool_spec(
+    pattern: &DestPattern,
+    rate: f64,
+    sessions: usize,
+    bytes: u32,
+    pool_groups: usize,
+    seed: u64,
+) -> TrafficSpec {
+    let arrivals = Arrivals::new(ArrivalProcess::Poisson, rate);
+    let mut spec = TrafficSpec::new(arrivals, pattern.clone(), sessions, seed);
+    spec.bytes = bytes;
+    spec.horizon = horizon_for(sessions, rate);
+    spec.cache_capacity = 2 * pool_groups;
     spec
 }
 
@@ -183,6 +205,16 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
     let mut series: Vec<SweepSeries> = Vec::new();
     let mut scratch = EngineScratch::new();
+    let spec = |pattern: &DestPattern, rate, seed| {
+        pool_spec(
+            pattern,
+            rate,
+            cfg.sessions,
+            cfg.bytes,
+            cfg.pool_groups,
+            seed,
+        )
+    };
 
     // --- hypercubes: all four paper algorithms over the pool -----------
     for (network, dim, m, loads) in [
@@ -190,21 +222,13 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
         ("cube8", 8u8, 16usize, &cfg.loads_256),
     ] {
         let cube = Cube::of(dim);
-        // One pool per network, shared across algorithms so the curves
-        // are an apples-to-apples comparison.
-        let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, network, "pool", 0));
-        let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, m);
+        let pattern = pool(cfg.seed, network, &cube, cfg.pool_groups, m);
         for algo in Algorithm::PAPER {
             let points: Vec<SweepPoint> = loads
                 .iter()
                 .enumerate()
                 .map(|(pi, &rate)| {
-                    let spec = spec_for(
-                        cfg,
-                        &pattern,
-                        rate,
-                        run_seed(cfg.seed, network, algo.name(), pi),
-                    );
+                    let spec = spec(&pattern, rate, run_seed(cfg.seed, network, algo.name(), pi));
                     let r = traffic::run_cube_with_scratch(
                         &spec,
                         cube,
@@ -213,15 +237,7 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
                         &params,
                         &mut scratch,
                     );
-                    SweepPoint {
-                        offered_per_ms: rate,
-                        mean_latency_ms: r.latency.mean,
-                        ci_half_width_ms: r.latency.ci_half_width,
-                        completion_ratio: r.completion_ratio,
-                        throughput_per_ms: r.throughput_per_ms,
-                        cache_hit_rate: r.cache.hit_rate(),
-                        cache: r.cache,
-                    }
+                    point(rate, &r)
                 })
                 .collect();
             series.push(SweepSeries {
@@ -238,34 +254,20 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
     // --- torus: separate addressing (the tree algorithms are
     // hypercube-specific) ----------------------------------------------
     let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, 8);
+    let pattern = pool(cfg.seed, "torus4x3", &torus, cfg.pool_groups, 8);
     let points: Vec<SweepPoint> = cfg
         .loads_64
         .iter()
         .enumerate()
         .map(|(pi, &rate)| {
-            let spec = spec_for(
-                cfg,
+            let spec = spec(
                 &pattern,
                 rate,
                 run_seed(cfg.seed, "torus4x3", "Separate", pi),
             );
-            let r = traffic::run_separate_on_with_scratch(
-                &spec,
-                TorusRouter::new(torus),
-                &params,
-                &mut scratch,
-            );
-            SweepPoint {
-                offered_per_ms: rate,
-                mean_latency_ms: r.latency.mean,
-                ci_half_width_ms: r.latency.ci_half_width,
-                completion_ratio: r.completion_ratio,
-                throughput_per_ms: r.throughput_per_ms,
-                cache_hit_rate: r.cache.hit_rate(),
-                cache: r.cache,
-            }
+            let router = TorusRouter::new(torus);
+            let r = traffic::run_separate_on_with_scratch(&spec, router, &params, &mut scratch);
+            point(rate, &r)
         })
         .collect();
     series.push(SweepSeries {
@@ -283,246 +285,77 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
     }
 }
 
-// ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
-// ----------------------------------------------------------------------
-
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
+/// One measured load point of a run at offered load `rate`.
+fn point(rate: f64, r: &TrafficReport) -> SweepPoint {
+    SweepPoint {
+        offered_per_ms: rate,
+        mean_latency_ms: r.latency.mean,
+        ci_half_width_ms: r.latency.ci_half_width,
+        completion_ratio: r.completion_ratio,
+        throughput_per_ms: r.throughput_per_ms,
+        cache_hit_rate: r.cache.hit_rate(),
+        cache: r.cache,
     }
 }
 
-fn loads_value(loads: &[f64]) -> Value {
-    Value::Array(loads.iter().map(|&l| Value::Number(l)).collect())
-}
+// ----------------------------------------------------------------------
+// The artifact: schema, `.txt` rendering.
+// ----------------------------------------------------------------------
 
-impl TrafficSweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let config = Value::Object(vec![
-            (
-                "sessions".into(),
-                Value::Number(self.config.sessions as f64),
-            ),
-            (
-                "pool_groups".into(),
-                Value::Number(self.config.pool_groups as f64),
-            ),
-            ("bytes".into(), Value::Number(f64::from(self.config.bytes))),
-            ("seed".into(), Value::Number(self.config.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("loads_64".into(), loads_value(&self.config.loads_64)),
-            ("loads_256".into(), loads_value(&self.config.loads_256)),
-            (
-                "saturation_latency_factor".into(),
-                Value::Number(SATURATION_LATENCY_FACTOR),
-            ),
-            (
-                "saturation_min_completion".into(),
-                Value::Number(SATURATION_MIN_COMPLETION),
-            ),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("m".into(), Value::Number(s.m as f64)),
-                        (
-                            "saturation_per_ms".into(),
-                            s.saturation_per_ms.map_or(Value::Null, Value::Number),
-                        ),
-                        (
-                            "points".into(),
-                            Value::Array(
-                                s.points
-                                    .iter()
-                                    .map(|p| {
-                                        Value::Object(vec![
-                                            (
-                                                "offered_per_ms".into(),
-                                                Value::Number(p.offered_per_ms),
-                                            ),
-                                            (
-                                                "mean_latency_ms".into(),
-                                                num_or_null(p.mean_latency_ms),
-                                            ),
-                                            (
-                                                "ci_half_width_ms".into(),
-                                                num_or_null(p.ci_half_width_ms),
-                                            ),
-                                            (
-                                                "completion_ratio".into(),
-                                                Value::Number(p.completion_ratio),
-                                            ),
-                                            (
-                                                "throughput_per_ms".into(),
-                                                Value::Number(p.throughput_per_ms),
-                                            ),
-                                            (
-                                                "cache_hit_rate".into(),
-                                                Value::Number(p.cache_hit_rate),
-                                            ),
-                                            (
-                                                "cache_hits".into(),
-                                                Value::Number(p.cache.hits as f64),
-                                            ),
-                                            (
-                                                "cache_misses".into(),
-                                                Value::Number(p.cache.misses as f64),
-                                            ),
-                                            (
-                                                "cache_evictions".into(),
-                                                Value::Number(p.cache.evictions as f64),
-                                            ),
-                                            (
-                                                "cache_invalidations".into(),
-                                                Value::Number(p.cache.invalidations as f64),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("traffic_sweep".into())),
-            (
-                "title".into(),
-                Value::String("Open-loop multicast traffic: latency vs offered load".into()),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
+record!(CacheStats {
+    "cache_hits" => hits,
+    "cache_misses" => misses,
+    "cache_evictions" => evictions,
+    "cache_invalidations" => invalidations,
+});
+record!(SweepConfig {
+    sessions,
+    pool_groups,
+    bytes,
+    seed,
+    const "arrivals" = "poisson",
+    loads_64,
+    loads_256,
+    const "saturation_latency_factor" = SATURATION_LATENCY_FACTOR,
+    const "saturation_min_completion" = SATURATION_MIN_COMPLETION,
+});
+record!(SweepPoint {
+    offered_per_ms,
+    mean_latency_ms,
+    ci_half_width_ms,
+    completion_ratio,
+    throughput_per_ms,
+    cache_hit_rate,
+    ..cache,
+});
+record!(SweepSeries {
+    network,
+    nodes,
+    algorithm,
+    m,
+    saturation_per_ms,
+    points,
+});
+record!(TrafficSweep {
+    const "id" = ID,
+    const "title" = TITLE,
+    config,
+    series,
+});
 
-    /// Parses and validates a sweep artifact produced by
-    /// [`TrafficSweep::to_json`] — the schema check CI runs against the
-    /// committed `results/traffic_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<TrafficSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "traffic_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let get_loads = |key: &str| -> Result<Vec<f64>, String> {
-            cfg.get(key)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("missing array field: {key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("non-numeric load in {key}"))
-                })
-                .collect()
-        };
-        let config = SweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            loads_64: get_loads("loads_64")?,
-            loads_256: get_loads("loads_256")?,
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            let network = s
-                .get("network")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("network"))?
-                .to_string();
-            let algorithm = s
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("algorithm"))?
-                .to_string();
-            let nodes = get_num(s, "nodes")? as usize;
-            let m = get_num(s, "m")? as usize;
-            let saturation_per_ms = match s.get("saturation_per_ms") {
-                Some(Value::Null) | None => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric saturation"))?,
-                ),
-            };
-            let pts = s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("points"))?;
-            let opt_num = |p: &Value, key: &str| -> Result<f64, String> {
-                match p.get(key) {
-                    Some(Value::Null) => Ok(f64::NAN),
-                    Some(x) => x
-                        .as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric {key}")),
-                    None => Err(format!("series[{i}]: missing point field {key}")),
-                }
-            };
-            let points = pts
-                .iter()
-                .map(|p| {
-                    Ok(SweepPoint {
-                        offered_per_ms: get_num(p, "offered_per_ms")?,
-                        mean_latency_ms: opt_num(p, "mean_latency_ms")?,
-                        ci_half_width_ms: opt_num(p, "ci_half_width_ms")?,
-                        completion_ratio: get_num(p, "completion_ratio")?,
-                        throughput_per_ms: get_num(p, "throughput_per_ms")?,
-                        cache_hit_rate: get_num(p, "cache_hit_rate")?,
-                        cache: CacheStats {
-                            hits: get_num(p, "cache_hits")? as u64,
-                            misses: get_num(p, "cache_misses")? as u64,
-                            evictions: get_num(p, "cache_evictions")? as u64,
-                            invalidations: get_num(p, "cache_invalidations")? as u64,
-                        },
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            series.push(SweepSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points,
-                saturation_per_ms,
-            });
-        }
-        Ok(TrafficSweep { config, series })
+const ID: &str = "traffic_sweep";
+const TITLE: &str = "Open-loop multicast traffic: latency vs offered load";
+
+impl Artifact for TrafficSweep {
+    fn id(&self) -> &str {
+        ID
     }
 
     /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("Open-loop multicast traffic: latency vs offered load\n");
+        out.push_str(TITLE);
+        out.push('\n');
         out.push_str(&format!(
             "sessions/point = {}, pool = {} groups, payload = {} B, seed = {}, arrivals = poisson\n",
             self.config.sessions, self.config.pool_groups, self.config.bytes, self.config.seed
@@ -566,6 +399,7 @@ impl TrafficSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{from_json, to_json};
 
     #[test]
     fn smoke_sweep_is_deterministic_and_round_trips() {
@@ -579,9 +413,10 @@ mod tests {
         };
         let a = traffic_sweep(&cfg);
         let b = traffic_sweep(&cfg);
+        let json = to_json(&a).unwrap();
         assert_eq!(
-            a.to_json(),
-            b.to_json(),
+            json,
+            to_json(&b).unwrap(),
             "sweep must regenerate bit-identically"
         );
 
@@ -591,8 +426,8 @@ mod tests {
             assert_eq!(s.points.len(), 2, "{}", s.network);
         }
 
-        let parsed = TrafficSweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed: TrafficSweep = from_json(&json).unwrap();
+        assert_eq!(to_json(&parsed).unwrap(), json, "JSON round-trip");
         assert_eq!(parsed, a);
     }
 
@@ -640,10 +475,10 @@ mod tests {
 
     #[test]
     fn from_json_rejects_schema_violations() {
-        assert!(TrafficSweep::from_json("{}").is_err());
-        assert!(TrafficSweep::from_json("[1, 2]").is_err());
-        assert!(TrafficSweep::from_json("not json").is_err());
+        assert!(from_json::<TrafficSweep>("{}").is_err());
+        assert!(from_json::<TrafficSweep>("[1, 2]").is_err());
+        assert!(from_json::<TrafficSweep>("not json").is_err());
         let wrong_id = r#"{ "id": "fig11", "config": {}, "series": [] }"#;
-        assert!(TrafficSweep::from_json(wrong_id).is_err());
+        assert!(from_json::<TrafficSweep>(wrong_id).is_err());
     }
 }

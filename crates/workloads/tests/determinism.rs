@@ -13,14 +13,13 @@
 
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
-use workloads::chaossweep::{chaos_sweep, chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
-use workloads::collectivessweep::{collectives_sweep, CollectivesConfig, CollectivesSweep};
-use workloads::lanesweep::{lane_sweep, LaneSweep, LaneSweepConfig};
+use workloads::artifact::{from_json, to_json, Artifact, Codec};
+use workloads::chaossweep::{chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
+use workloads::collectivessweep::{CollectivesConfig, CollectivesSweep};
+use workloads::lanesweep::{LaneSweep, LaneSweepConfig};
 use workloads::sweep::{run_matrix_with_workers, MatrixResult};
-use workloads::telemetrysweep::{
-    telemetry_sweep_with_workers, TelemetrySweep, TelemetrySweepConfig,
-};
-use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
+use workloads::telemetrysweep::{TelemetrySweep, TelemetrySweepConfig};
+use workloads::trafficsweep::{SweepConfig, TrafficSweep};
 use wormsim::{simulate, simulate_on, DepMessage, RunResult, SimParams, SimTime};
 
 /// Golden output of `fig11 --trials 2`, captured from the pre-refactor
@@ -33,7 +32,7 @@ const FIG11_GOLDEN: &str = include_str!("golden/fig11_trials2_pre_refactor.json"
 fn fig11_matches_pre_refactor_golden() {
     let (avg, _) = workloads::figures::fig11_12(2);
     assert_eq!(
-        avg.to_json(),
+        to_json(&avg).unwrap(),
         FIG11_GOLDEN,
         "fig11 (trials=2) diverged from the pre-refactor engine"
     );
@@ -224,8 +223,8 @@ fn contention_heatmap_regenerates_byte_identically() {
     let a = workloads::heatmap::contention_heatmap(2);
     let b = workloads::heatmap::contention_heatmap(2);
     assert_eq!(
-        a.to_json(),
-        b.to_json(),
+        to_json(&a).unwrap(),
+        to_json(&b).unwrap(),
         "contention_heatmap (trials=2) is not deterministic"
     );
 }
@@ -292,10 +291,6 @@ fn run_matrix_is_independent_of_worker_count() {
     }
 }
 
-/// The committed traffic-sweep artifact, validated with the first-party
-/// parser — the same check `traffic_sweep --check` runs in CI.
-const TRAFFIC_SWEEP_GOLDEN: &str = include_str!("../../../results/traffic_sweep.json");
-
 /// The committed `results/traffic_sweep.json` must parse under the
 /// schema, carry the full configuration, and satisfy every acceptance
 /// property: 9 series (2 cubes x 4 algorithms + torus), >= 5 load
@@ -303,8 +298,7 @@ const TRAFFIC_SWEEP_GOLDEN: &str = include_str!("../../../results/traffic_sweep.
 /// tree-cache hit rate on the cube series.
 #[test]
 fn committed_traffic_sweep_artifact_is_valid_and_complete() {
-    let sweep = TrafficSweep::from_json(TRAFFIC_SWEEP_GOLDEN)
-        .expect("committed traffic_sweep.json violates its own schema");
+    let sweep: TrafficSweep = committed("traffic_sweep");
     assert_eq!(
         sweep.config,
         SweepConfig::full(),
@@ -346,45 +340,16 @@ fn committed_traffic_sweep_artifact_is_valid_and_complete() {
             );
         }
     }
-    // Serialization is canonical: re-emitting the parsed artifact must
-    // reproduce the committed bytes exactly.
-    assert_eq!(
-        sweep.to_json(),
-        TRAFFIC_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "to_json is not canonical for the committed artifact"
-    );
 }
-
-/// Full-artifact byte-reproducibility: regenerating the sweep with the
-/// committed configuration reproduces `results/traffic_sweep.json`
-/// exactly. Expensive (minutes in debug builds), so ignored by default;
-/// CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_traffic_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = traffic_sweep(&SweepConfig::full());
-    assert_eq!(
-        regenerated.to_json(),
-        TRAFFIC_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/traffic_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin traffic_sweep` and commit"
-    );
-}
-
-/// The committed collectives-sweep artifact, validated with the
-/// first-party parser — the same check `collectives_sweep --check` runs
-/// in CI.
-const COLLECTIVES_SWEEP_GOLDEN: &str = include_str!("../../../results/collectives_sweep.json");
 
 /// The committed `results/collectives_sweep.json` must parse under the
 /// schema, carry the full configuration, and satisfy the acceptance
 /// properties: 18 schedule rows (3 collectives x 5 cube families +
 /// 3 torus rows), **every row certified by the data oracle**, 6 traffic
-/// rows with nonzero completion, and canonical serialization.
+/// rows with nonzero completion.
 #[test]
 fn committed_collectives_sweep_artifact_is_valid_and_complete() {
-    let sweep = CollectivesSweep::from_json(COLLECTIVES_SWEEP_GOLDEN)
-        .expect("committed collectives_sweep.json violates its own schema");
+    let sweep: CollectivesSweep = committed("collectives_sweep");
     assert_eq!(
         sweep.config,
         CollectivesConfig::full(),
@@ -412,38 +377,7 @@ fn committed_collectives_sweep_artifact_is_valid_and_complete() {
             t.family
         );
     }
-    // Serialization is canonical: re-emitting the parsed artifact must
-    // reproduce the committed bytes exactly.
-    assert_eq!(
-        sweep
-            .to_json()
-            .expect("committed artifact re-emits strictly"),
-        COLLECTIVES_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "to_json is not canonical for the committed artifact"
-    );
 }
-
-/// Full-artifact byte-reproducibility: regenerating the collectives
-/// sweep with the committed configuration reproduces
-/// `results/collectives_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_collectives_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = collectives_sweep(&CollectivesConfig::full());
-    assert_eq!(
-        regenerated
-            .to_json()
-            .expect("regenerated sweep emits strictly"),
-        COLLECTIVES_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/collectives_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin collectives_sweep` and commit"
-    );
-}
-
-/// The committed chaos-sweep artifact, validated with the first-party
-/// parser — the same check `chaos_sweep --check` runs in CI.
-const CHAOS_SWEEP_GOLDEN: &str = include_str!("../../../results/chaos_sweep.json");
 
 /// The committed `results/chaos_sweep.json` must parse under the
 /// schema, carry the full configuration, and satisfy the robustness
@@ -453,8 +387,7 @@ const CHAOS_SWEEP_GOLDEN: &str = include_str!("../../../results/chaos_sweep.json
 /// epoch-keyed tree cache (hits plus repaired-entry invalidations).
 #[test]
 fn committed_chaos_sweep_artifact_is_valid_and_complete() {
-    let sweep = ChaosSweep::from_json(CHAOS_SWEEP_GOLDEN)
-        .expect("committed chaos_sweep.json violates its own schema");
+    let sweep: ChaosSweep = committed("chaos_sweep");
     assert_eq!(
         sweep.config,
         ChaosSweepConfig::full(),
@@ -476,7 +409,7 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
             s.algorithm
         );
         for p in &s.points {
-            if p.link_mtbf_ms.is_finite() {
+            if p.link_mtbf_ms.is_some() {
                 assert!(
                     p.fault_events > 0 && p.epochs > 1,
                     "{} {}: churny rung must actually churn",
@@ -511,7 +444,7 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
         let disrupted = |mtbf: f64| -> u64 {
             s.points
                 .iter()
-                .filter(|p| p.link_mtbf_ms == mtbf)
+                .filter(|p| p.link_mtbf_ms == Some(mtbf))
                 .map(|p| p.retry_histogram.iter().skip(1).sum::<u64>() + p.lost)
                 .sum()
         };
@@ -519,8 +452,8 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
             .config
             .link_mtbf_ladder_ms
             .iter()
+            .flatten()
             .copied()
-            .filter(|m| m.is_finite())
             .collect();
         let calmest = finite.iter().cloned().fold(f64::MIN, f64::max);
         let harshest = finite.iter().cloned().fold(f64::MAX, f64::min);
@@ -547,13 +480,6 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
             );
         }
     }
-    // Serialization is canonical: re-emitting the parsed artifact must
-    // reproduce the committed bytes exactly.
-    assert_eq!(
-        sweep.to_json(),
-        CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "to_json is not canonical for the committed artifact"
-    );
 }
 
 /// Chaos grid points are independent seeded runs, so the worker pool
@@ -569,38 +495,18 @@ fn chaos_sweep_is_independent_of_worker_count() {
         seed: 29,
         loads_64: vec![2.0],
         loads_256: vec![4.0],
-        link_mtbf_ladder_ms: vec![f64::INFINITY, 400.0],
+        link_mtbf_ladder_ms: vec![None, Some(400.0)],
         ..ChaosSweepConfig::full()
     };
-    let serial = chaos_sweep(&cfg);
+    let serial = to_json(&chaos_sweep_with_workers(&cfg, 1)).unwrap();
     for workers in [2, 7] {
         assert_eq!(
-            chaos_sweep_with_workers(&cfg, workers).to_json(),
-            serial.to_json(),
+            to_json(&chaos_sweep_with_workers(&cfg, workers)).unwrap(),
+            serial,
             "chaos sweep output changed at {workers} workers"
         );
     }
 }
-
-/// Full-artifact byte-reproducibility: regenerating the chaos sweep
-/// with the committed configuration reproduces
-/// `results/chaos_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_chaos_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = chaos_sweep_with_workers(&ChaosSweepConfig::full(), 4);
-    assert_eq!(
-        regenerated.to_json(),
-        CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/chaos_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin chaos_sweep` and commit"
-    );
-}
-
-/// The committed lane-sweep artifact, validated with the first-party
-/// parser — the same check `lane_sweep --check` runs in CI.
-const LANE_SWEEP_GOLDEN: &str = include_str!("../../../results/lane_sweep.json");
 
 /// The committed `results/lane_sweep.json` must parse under the schema,
 /// carry the full configuration, and satisfy the acceptance properties:
@@ -613,8 +519,7 @@ const LANE_SWEEP_GOLDEN: &str = include_str!("../../../results/lane_sweep.json")
 /// [`min_lanes_for_concurrent`]: hypercast::contention::min_lanes_for_concurrent
 #[test]
 fn committed_lane_sweep_artifact_is_valid_and_complete() {
-    let sweep = LaneSweep::from_json(LANE_SWEEP_GOLDEN)
-        .expect("committed lane_sweep.json violates its own schema");
+    let sweep: LaneSweep = committed("lane_sweep");
     assert_eq!(
         sweep.config,
         LaneSweepConfig::full(),
@@ -663,47 +568,18 @@ fn committed_lane_sweep_artifact_is_valid_and_complete() {
             assert!(s.analytic_min_lanes.is_none());
         }
     }
-    // Serialization is canonical: re-emitting the parsed artifact must
-    // reproduce the committed bytes exactly.
-    assert_eq!(
-        sweep.to_json(),
-        LANE_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "to_json is not canonical for the committed artifact"
-    );
 }
-
-/// Full-artifact byte-reproducibility: regenerating the lane sweep with
-/// the committed configuration reproduces `results/lane_sweep.json`
-/// exactly. Expensive, so ignored by default; CI runs it in release via
-/// `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_lane_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = lane_sweep(&LaneSweepConfig::full());
-    assert_eq!(
-        regenerated.to_json(),
-        LANE_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/lane_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin lane_sweep` and commit"
-    );
-}
-
-/// The committed telemetry-sweep artifact, validated with the
-/// first-party parser — the same check `telemetry_sweep --check` runs
-/// in CI.
-const TELEMETRY_SWEEP_GOLDEN: &str = include_str!("../../../results/telemetry_sweep.json");
 
 /// The committed `results/telemetry_sweep.json` must parse under the
 /// schema, carry the full configuration, and satisfy the recovery
-/// acceptance properties ([`TelemetrySweep::check_recovery`]): every
+/// acceptance properties ([`Artifact::check`]): every
 /// series accounts for all offered sessions bucket by bucket, churn is
 /// visible in the `live_faults` gauge, and goodput dips during the
 /// churn window then refills after it — the flight recorder's
 /// dip-and-refill signature.
 #[test]
 fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
-    let sweep = TelemetrySweep::from_json(TELEMETRY_SWEEP_GOLDEN)
-        .expect("committed telemetry_sweep.json violates its own schema");
+    let sweep: TelemetrySweep = committed("telemetry_sweep");
     assert_eq!(
         sweep.config,
         TelemetrySweepConfig::full(),
@@ -711,7 +587,7 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
     );
     assert_eq!(sweep.series.len(), 5, "4 cube algorithms + 1 torus");
     sweep
-        .check_recovery()
+        .check()
         .expect("committed artifact fails the dip-and-refill recovery check");
     for s in &sweep.series {
         assert_eq!(
@@ -728,29 +604,14 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
             s.algorithm
         );
     }
-    // Serialization is canonical: re-emitting the parsed artifact must
-    // reproduce the committed bytes exactly.
-    assert_eq!(
-        sweep.to_json(),
-        TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "to_json is not canonical for the committed artifact"
-    );
 }
 
-/// Full-artifact byte-reproducibility: regenerating the telemetry sweep
-/// with the committed configuration reproduces
-/// `results/telemetry_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_telemetry_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = telemetry_sweep_with_workers(&TelemetrySweepConfig::full(), 4);
-    assert_eq!(
-        regenerated.to_json(),
-        TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/telemetry_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin telemetry_sweep` and commit"
-    );
+/// The committed `results/<name>.json`, parsed under its schema (the
+/// parse `artifacts --check` runs).
+fn committed<T: Codec>(name: &str) -> T {
+    let path = format!("{}/../../results/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    from_json(&text).unwrap_or_else(|e| panic!("{path} violates its own schema: {e}"))
 }
 
 /// The sharded session driver's central contract: a sharded report is

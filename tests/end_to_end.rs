@@ -19,7 +19,7 @@ fn fig09_pipeline_smoke() {
     // Rendering works.
     assert!(f.to_table().contains("fig09"));
     assert!(f.to_ascii_plot(60, 12).contains("legend"));
-    let json = workloads::json::parse(&f.to_json()).unwrap();
+    let json = workloads::json::parse(&workloads::artifact::to_json(&f).unwrap()).unwrap();
     assert_eq!(json["id"], "fig09");
     assert_eq!(json["series"].as_array().unwrap().len(), 4);
 }
