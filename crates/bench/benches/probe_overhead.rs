@@ -2,10 +2,8 @@
 //! fig11-style multicast workload (6-cube, all-port, 32 destinations,
 //! 4 KB), comparing
 //!
-//! - `baseline` — plain `simulate` (no probe parameter at all),
-//! - `noop_probe` — `simulate_observed` with [`wormsim::NoopProbe`]
-//!   (must monomorphize away: within noise of baseline, the tentpole's
-//!   acceptance bar),
+//! - `noop_probe` — [`wormsim::run`] with [`wormsim::NoopProbe`], the
+//!   unobserved baseline (every observation point monomorphizes away),
 //! - `event_recorder` — full ring-buffer + occupancy accounting,
 //! - `metrics` — counter/histogram registry,
 //! - `telemetry_probe` — the traffic flight recorder's blocking-interval
@@ -15,14 +13,14 @@
 //!   (the telemetry layer's end-to-end cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::{Algorithm, PortModel};
 use traffic::{
     ArrivalProcess, Arrivals, DestPattern, TelemetryConfig, TelemetryProbe, TrafficSpec,
 };
 use wormsim::{
-    multicast_workload, simulate, simulate_observed, DepMessage, EventRecorder, Metrics, NoopProbe,
-    SimParams,
+    multicast_workload, DepMessage, EngineScratch, EventRecorder, FaultPlan, Metrics, NoopProbe,
+    Probe, RunResult, SimParams,
 };
 
 /// Fig. 11 operating point: 6-cube, 32 random destinations, 4 KB.
@@ -38,41 +36,54 @@ fn fig11_workload() -> (Cube, Resolution, SimParams, Vec<DepMessage>) {
     (cube, resolution, params, multicast_workload(&tree, 4096))
 }
 
+/// One fault-free run of `workload` on a fresh scratch, observed by
+/// `probe`.
+fn observe<P: Probe>(
+    cube: Cube,
+    resolution: Resolution,
+    params: &SimParams,
+    workload: &[DepMessage],
+    probe: &mut P,
+) -> RunResult {
+    let router = Ecube::new(cube, resolution);
+    let mut scratch = EngineScratch::new();
+    wormsim::run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        probe,
+        &mut scratch,
+    )
+    .unwrap()
+}
+
 fn bench_probe_overhead(c: &mut Criterion) {
     let (cube, resolution, params, workload) = fig11_workload();
     let mut g = c.benchmark_group("probe_overhead");
 
-    g.bench_function("baseline", |b| {
-        b.iter(|| std::hint::black_box(simulate(cube, resolution, &params, &workload)))
-    });
     g.bench_function("noop_probe", |b| {
         b.iter(|| {
             let mut probe = NoopProbe;
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(observe(cube, resolution, &params, &workload, &mut probe))
         })
     });
     g.bench_function("event_recorder", |b| {
         b.iter(|| {
             let mut probe = EventRecorder::new();
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(observe(cube, resolution, &params, &workload, &mut probe))
         })
     });
     g.bench_function("metrics", |b| {
         b.iter(|| {
             let mut probe = Metrics::new();
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(observe(cube, resolution, &params, &workload, &mut probe))
         })
     });
     g.bench_function("telemetry_probe", |b| {
         b.iter(|| {
             let mut probe = TelemetryProbe::new();
-            let run = simulate_observed(cube, resolution, &params, &workload, &mut probe);
+            let run = observe(cube, resolution, &params, &workload, &mut probe);
             std::hint::black_box((run, probe.take_intervals()))
         })
     });

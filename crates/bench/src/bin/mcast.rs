@@ -40,8 +40,8 @@ use traffic::{
 };
 use wormsim::network::ChannelMap;
 use wormsim::{
-    simulate_observed_on, simulate_on, ChannelTrace, DepMessage, EventRecorder, FaultPlan, Metrics,
-    NetStats, SimParams, SimTime, Tee,
+    ChannelTrace, DepMessage, EngineScratch, EventRecorder, FaultPlan, Metrics, NetStats,
+    NoopProbe, Probe, RunResult, SimParams, SimTime, Tee,
 };
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,6 @@ struct Args {
     chaos: Option<(f64, f64)>,
     retries: u32,
     backoff_us: u64,
-    workers: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -127,7 +126,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: None,
         retries: 3,
         backoff_us: 500,
-        workers: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -305,15 +303,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--sessions must be >= 1".into());
                 }
             }
-            "--workers" => {
-                let w: usize = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-                args.workers = Some(w);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: mcast --n <dim> [--topology cube|torus|mesh] [--arity K]\n\
@@ -325,8 +314,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20             [--trace-out FILE.json] [--metrics-out FILE.prom|FILE.json]\n\
                      \x20             [--spans-out FILE.json] [--timeseries-out FILE.json]\n\
                      \x20             [--faults K] [--fail-link V:D]... [--fail-node V]...\n\
-                     \x20             [--load R [--arrivals det|poisson|bursty[:B]] [--sessions N]\n\
-                     \x20              [--workers W]]\n\
+                     \x20             [--load R [--arrivals det|poisson|bursty[:B]] [--sessions N]]\n\
                      \x20             [--chaos MTBF:MTTR [--retries N] [--backoff B]]\n\
                      \x20      mcast serve [--max-inflight N]\n\
                      \n\
@@ -344,7 +332,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20             --spans-out FILE, --timeseries-out FILE (need --load)\n\
                      \x20 faults      --faults K, --fail-link V:D, --fail-node V\n\
                      \x20 open loop   --load R (sessions/ms), --arrivals det|poisson|bursty[:B],\n\
-                     \x20             --sessions N, --workers W (sharded session driver)\n\
+                     \x20             --sessions N\n\
                      \x20 churn       --chaos MTBF:MTTR (per-link, ms), --retries N, --backoff B (µs)\n\
                      \n\
                      observability: --trace-out writes a Chrome/Perfetto trace of the run's\n\
@@ -395,18 +383,11 @@ fn parse_args() -> Result<Args, String> {
                      delivery ratio, goodput, the retry-attempt histogram, losses, and\n\
                      time-to-recover.\n\
                      \n\
-                     sharded runs: --workers W (requires --load) partitions the sessions\n\
-                     across W threads, each session simulated alone — the paper's\n\
-                     contention-free trees make sessions independent, so this drops only\n\
-                     cross-session channel contention. The report is byte-identical at any\n\
-                     W and echoes \"workers\":W in the JSON line. Incompatible with\n\
-                     --spans-out/--timeseries-out (the flight recorder is single-threaded).\n\
-                     \n\
                      service mode: `mcast serve` runs a long-lived daemon reading one JSON\n\
-                     request per stdin line and writing one JSON response per line, with a\n\
-                     persistent tree store kept warm across requests and per-request\n\
-                     worker pools; --max-inflight N bounds the request queue (default 16,\n\
-                     backpressures the client through the pipe). Ops: traffic, chaos,\n\
+                     request per stdin line and writing one JSON response per line, in\n\
+                     request order; --max-inflight N bounds the request queue (default 16,\n\
+                     backpressures the client through the pipe) and --max-sessions N caps\n\
+                     the sessions of one request (default 20000). Ops: traffic, chaos,\n\
                      multicast, stats, shutdown. See DESIGN.md section 16.\n\
                      \n\
                      --topology torus simulates separate addressing on a K-ary n-cube with\n\
@@ -422,6 +403,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
         i += 1;
+    }
+    if let Some(rate) = args.load {
+        workloads::serve::check_load(args.arrivals, rate, args.sessions)?;
     }
     Ok(args)
 }
@@ -442,6 +426,28 @@ fn stats_line(stats: &NetStats) -> String {
     )
 }
 
+/// A fault-free engine run of `workload` observed by `probe`.
+///
+/// # Panics
+/// On a malformed workload (a destination equal to the source).
+fn replay<R: Router, P: Probe>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    probe: &mut P,
+) -> RunResult {
+    let mut scratch = EngineScratch::new();
+    wormsim::run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        probe,
+        &mut scratch,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Re-runs the workload with an in-loop `Tee(EventRecorder, Metrics)`
 /// probe and writes the requested observability artifacts: a
 /// Chrome/Perfetto trace (`--trace-out`) and/or a metrics export
@@ -457,7 +463,7 @@ fn write_observability<R: Router + Copy>(
     metrics_out: Option<&str>,
 ) {
     let mut probe = Tee(EventRecorder::new(), Metrics::new());
-    let _run = simulate_observed_on(router, params, workload, &mut probe);
+    replay(router, params, workload, &mut probe);
     let Tee(recorder, metrics) = probe;
     if let Some(path) = trace_out {
         let map = ChannelMap::new(router);
@@ -562,7 +568,7 @@ fn run_separate<R: Router + Copy>(router: R, args: &Args, dests: &[NodeId], json
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate_on(router, &params, &workload);
+    let run = replay(router, &params, &workload, &mut NoopProbe);
     let avg = SimTime(
         run.messages
             .iter()
@@ -916,7 +922,7 @@ fn traffic_spec(args: &Args, rate: f64, pattern: DestPattern) -> TrafficSpec {
     )
 }
 
-fn print_traffic_report(label: &str, r: &TrafficReport, json: bool, workers: Option<usize>) {
+fn print_traffic_report(label: &str, r: &TrafficReport, json: bool) {
     println!(
         "{label:>9}: {} sessions ({} measured), completed {:.3}, \
          latency {:.4} ms ±{:.4} (95% CI), thru {:.3}/ms, cache hit {:.3}",
@@ -935,10 +941,7 @@ fn print_traffic_report(label: &str, r: &TrafficReport, json: bool, workers: Opt
         r.net.timed_out
     );
     if json {
-        println!(
-            "{}",
-            workloads::serve::traffic_report_json(label, r, workers)
-        );
+        println!("{}", workloads::serve::traffic_report_json(label, r, None));
     }
 }
 
@@ -949,7 +952,7 @@ fn chaos_spec(args: &Args, traffic: TrafficSpec, mtbf_ms: f64, mttr_ms: f64) -> 
     workloads::serve::chaos_wrap(traffic, mtbf_ms, mttr_ms, args.retries, args.backoff_us)
 }
 
-fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<usize>) {
+fn print_chaos_report(label: &str, r: &ChaosReport, json: bool) {
     let hist: Vec<String> = r
         .retry_histogram
         .iter()
@@ -992,7 +995,7 @@ fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<
         r.cache.invalidations,
     );
     if json {
-        println!("{}", workloads::serve::chaos_report_json(label, r, workers));
+        println!("{}", workloads::serve::chaos_report_json(label, r, None));
     }
 }
 
@@ -1000,8 +1003,8 @@ fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<
 /// session is one full-machine collective (the destination flags are
 /// irrelevant; allreduce roots rotate round-robin across sessions).
 fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
-    if args.chaos.is_some() || args.workers.is_some() {
-        eprintln!("error: collective traffic does not support --chaos/--workers");
+    if args.chaos.is_some() {
+        eprintln!("error: collective traffic does not support --chaos");
         std::process::exit(2);
     }
     if args.spans_out.is_some() || args.timeseries_out.is_some() {
@@ -1042,7 +1045,7 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
             let spec = traffic_spec(args, rate, pattern);
             let r =
                 traffic::run_collective_separate_on(&spec, TorusRouter::new(torus), kind, &params);
-            print_traffic_report("Separate", &r, args.json, None);
+            print_traffic_report("Separate", &r, args.json);
         }
         TopologyKind::Cube => {
             let cube = match Cube::new(args.n) {
@@ -1071,7 +1074,7 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
                     family,
                     &params,
                 );
-                print_traffic_report(family.name(), &r, args.json, None);
+                print_traffic_report(family.name(), &r, args.json);
             }
         }
     }
@@ -1102,10 +1105,6 @@ fn run_traffic(args: &Args, rate: f64) {
         std::process::exit(2);
     }
     let telemetry = args.spans_out.is_some() || args.timeseries_out.is_some();
-    if telemetry && args.workers.is_some() {
-        eprintln!("error: --workers is incompatible with --spans-out/--timeseries-out");
-        std::process::exit(2);
-    }
     let tcfg = TelemetryConfig::default();
     let params = SimParams::ncube2(args.port);
     match args.topology {
@@ -1140,21 +1139,11 @@ fn run_traffic(args: &Args, rate: f64) {
                         &params,
                         &tcfg,
                     );
-                    print_chaos_report("Separate", &r, args.json, None);
+                    print_chaos_report("Separate", &r, args.json);
                     write_telemetry(args, &tel);
                 } else {
-                    let r = match args.workers {
-                        Some(w) => traffic::run_chaos_separate_sharded_on(
-                            &spec,
-                            TorusRouter::new(torus),
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_chaos_separate_on(&spec, TorusRouter::new(torus), &params)
-                        }
-                    };
-                    print_chaos_report("Separate", &r, args.json, args.workers);
+                    let r = traffic::run_chaos_separate_on(&spec, TorusRouter::new(torus), &params);
+                    print_chaos_report("Separate", &r, args.json);
                 }
             } else if telemetry {
                 let (r, tel) = traffic::run_separate_with_telemetry_on(
@@ -1163,16 +1152,11 @@ fn run_traffic(args: &Args, rate: f64) {
                     &params,
                     &tcfg,
                 );
-                print_traffic_report("Separate", &r, args.json, None);
+                print_traffic_report("Separate", &r, args.json);
                 write_telemetry(args, &tel);
             } else {
-                let r = match args.workers {
-                    Some(w) => {
-                        traffic::run_separate_sharded_on(&spec, TorusRouter::new(torus), &params, w)
-                    }
-                    None => traffic::run_separate_on(&spec, TorusRouter::new(torus), &params),
-                };
-                print_traffic_report("Separate", &r, args.json, args.workers);
+                let r = traffic::run_separate_on(&spec, TorusRouter::new(torus), &params);
+                print_traffic_report("Separate", &r, args.json);
             }
         }
         TopologyKind::Cube => {
@@ -1213,27 +1197,17 @@ fn run_traffic(args: &Args, rate: f64) {
                             &params,
                             &tcfg,
                         );
-                        print_chaos_report(algo.name(), &r, args.json, None);
+                        print_chaos_report(algo.name(), &r, args.json);
                         write_telemetry(args, &tel);
                     } else {
-                        let r = match args.workers {
-                            Some(w) => traffic::run_chaos_cube_sharded(
-                                &spec,
-                                cube,
-                                Resolution::HighToLow,
-                                algo,
-                                &params,
-                                w,
-                            ),
-                            None => traffic::run_chaos_cube(
-                                &spec,
-                                cube,
-                                Resolution::HighToLow,
-                                algo,
-                                &params,
-                            ),
-                        };
-                        print_chaos_report(algo.name(), &r, args.json, args.workers);
+                        let r = traffic::run_chaos_cube(
+                            &spec,
+                            cube,
+                            Resolution::HighToLow,
+                            algo,
+                            &params,
+                        );
+                        print_chaos_report(algo.name(), &r, args.json);
                     }
                 } else if telemetry {
                     let (r, tel) = traffic::run_cube_with_telemetry(
@@ -1244,23 +1218,11 @@ fn run_traffic(args: &Args, rate: f64) {
                         &params,
                         &tcfg,
                     );
-                    print_traffic_report(algo.name(), &r, args.json, None);
+                    print_traffic_report(algo.name(), &r, args.json);
                     write_telemetry(args, &tel);
                 } else {
-                    let r = match args.workers {
-                        Some(w) => traffic::run_cube_sharded(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params)
-                        }
-                    };
-                    print_traffic_report(algo.name(), &r, args.json, args.workers);
+                    let r = traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params);
+                    print_traffic_report(algo.name(), &r, args.json);
                 }
             }
         }
@@ -1298,14 +1260,8 @@ fn run_serve(flags: &[String]) {
                     std::process::exit(2);
                 });
             }
-            "--max-workers" => {
-                opts.max_workers = take(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("error: --max-workers: {e}");
-                    std::process::exit(2);
-                });
-            }
             other => {
-                eprintln!("error: unknown serve flag {other} (serve takes --max-inflight, --max-sessions, --max-workers)");
+                eprintln!("error: unknown serve flag {other} (serve takes --max-inflight, --max-sessions)");
                 std::process::exit(2);
             }
         }
@@ -1351,10 +1307,6 @@ fn main() {
     if let Some(rate) = args.load {
         run_traffic(&args, rate);
         return;
-    }
-    if args.workers.is_some() {
-        eprintln!("error: --workers requires --load (it shards the open-loop session driver)");
-        std::process::exit(2);
     }
     if args.chaos.is_some() {
         eprintln!("error: --chaos requires --load (churn acts on open-loop traffic)");
@@ -1502,24 +1454,9 @@ fn main() {
         if args.algo.is_some() && !args.json {
             println!("\n{}", tree.render());
             if args.trace {
-                let workload: Vec<DepMessage> = tree
-                    .unicasts
-                    .iter()
-                    .map(|u| DepMessage {
-                        src: u.src,
-                        dst: u.dst,
-                        bytes: args.bytes,
-                        deps: tree
-                            .unicasts
-                            .iter()
-                            .position(|p| p.dst == u.src)
-                            .map(|i| vec![i])
-                            .unwrap_or_default(),
-                        min_start: SimTime::ZERO,
-                    })
-                    .collect();
+                let workload = wormsim::multicast_workload(&tree, args.bytes);
                 let router = Ecube::with_lanes(cube, Resolution::HighToLow, lanes);
-                let run = simulate_on(router, &params, &workload);
+                let run = replay(router, &params, &workload, &mut NoopProbe);
                 let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
                 println!("{}", trace.render_timeline(64));
                 println!(

@@ -197,6 +197,27 @@ impl Arrivals {
         SimTime::from_ns((1.0e6 / self.rate_per_ms) as u64)
     }
 
+    /// An upper bound, in nanoseconds, on the last arrival time that
+    /// [`schedule`](Arrivals::schedule) can produce for `sessions`
+    /// sessions under any RNG state: `sessions - 1` gaps, each at most
+    /// the process's largest possible gap. A Poisson gap is at most
+    /// `53 ln 2 < 37` mean gaps (the unit draw is never below
+    /// `2^-53`); a bursty idle gap is at most `64 * mean_burst` mean
+    /// gaps. Front ends compare it against `SimTime`'s range before
+    /// scheduling.
+    #[must_use]
+    pub fn span_bound_ns(&self, sessions: usize) -> f64 {
+        let mean_ns = 1.0e6 / self.rate_per_ms;
+        let max_gap_ns = match self.process {
+            ArrivalProcess::Deterministic => mean_ns,
+            ArrivalProcess::Poisson => mean_ns * 37.0,
+            ArrivalProcess::Bursty { mean_burst } => {
+                (mean_ns * 64.0 * f64::from(mean_burst)).max(1.0)
+            }
+        };
+        sessions.saturating_sub(1) as f64 * max_gap_ns
+    }
+
     /// Generates the arrival times of `sessions` sessions. The first
     /// arrival is always at [`SimTime::ZERO`]; times are nondecreasing.
     /// Identical `(process, rate, rng state)` give identical schedules
@@ -224,7 +245,7 @@ impl Arrivals {
                             // gap of B mean gaps.
                             let p = 1.0 / f64::from(mean_burst);
                             let mut b: u32 = 1;
-                            while !rng.gen_bool(p) && b < 64 * mean_burst {
+                            while !rng.gen_bool(p) && b < mean_burst.saturating_mul(64) {
                                 b += 1;
                             }
                             burst_left = b - 1;
@@ -258,6 +279,27 @@ mod tests {
                 "ln({x}): {got} vs {want}"
             );
         }
+    }
+
+    #[test]
+    fn schedules_stay_within_their_span_bound() {
+        for process in [
+            ArrivalProcess::Deterministic,
+            ArrivalProcess::Poisson,
+            ArrivalProcess::Bursty { mean_burst: 3 },
+        ] {
+            let arrivals = Arrivals::new(process, 0.5);
+            let mut rng = StdRng::seed_from_u64(5);
+            let last = *arrivals.schedule(&mut rng, 500).last().unwrap();
+            assert!(
+                last.as_ns() as f64 <= arrivals.span_bound_ns(500),
+                "{process}"
+            );
+        }
+        assert_eq!(
+            Arrivals::new(ArrivalProcess::Poisson, 1.0).span_bound_ns(1),
+            0.0
+        );
     }
 
     #[test]

@@ -49,8 +49,8 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::fmt;
 use wormsim::{
-    simulate_observed_with_faults_on_with_scratch, DepMessage, EngineScratch, FaultCause,
-    FaultEpoch, FaultTimeline, NetStats, NoopProbe, Outcome, Probe, SimTime,
+    DepMessage, EngineScratch, FaultCause, FaultEpoch, FaultTimeline, NetStats, NoopProbe, Outcome,
+    Probe, SimTime,
 };
 
 /// Configuration of one chaos run: plain open-loop traffic plus a churn
@@ -441,7 +441,7 @@ pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
                     cache_hit,
                 });
             }
-            let run = simulate_observed_with_faults_on_with_scratch(
+            let run = wormsim::run(
                 Ecube::new(cube, resolution),
                 params,
                 &workload,
@@ -554,15 +554,8 @@ where
                     cache_hit: false,
                 });
             }
-            let run = simulate_observed_with_faults_on_with_scratch(
-                router,
-                params,
-                &workload,
-                plan,
-                tel.probe(),
-                scratch,
-            )
-            .expect("windowed chaos runs cannot deadlock");
+            let run = wormsim::run(router, params, &workload, plan, tel.probe(), scratch)
+                .expect("windowed chaos runs cannot deadlock");
             tel.record_wave(attempts, &spans, &run, plan);
             (run, spans)
         },
@@ -713,9 +706,7 @@ pub(crate) fn classify(msgs: &[wormsim::MessageResult], missing: usize) -> Attem
 }
 
 /// Assembles the final report from terminal session records.
-/// `pub(crate)` so the sharded driver can assemble the identical report
-/// from its per-session attempt chains.
-pub(crate) fn assemble_chaos(
+fn assemble_chaos(
     spec: &ChaosSpec,
     sessions: Vec<ChaosSession>,
     timeline: &FaultTimeline,

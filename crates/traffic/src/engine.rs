@@ -7,9 +7,10 @@
 //! (separate addressing, any topology) — whose `min_start` is the
 //! session's arrival time. Forwarding dependencies stay *within* a
 //! session; across sessions the only coupling is physical channel
-//! contention, exactly as in the network. The whole run executes under
-//! [`wormsim::simulate_window_on`], so a saturated backlog is cut off at
-//! the horizon instead of extending the run without bound.
+//! contention, exactly as in the network. The whole run executes as one
+//! [`wormsim::run`] whose fault plan holds only the spec's horizon as a
+//! global deadline, so a saturated backlog is cut off at the horizon
+//! instead of extending the run without bound.
 //!
 //! Hypercube sessions build their trees through a [`TreeCache`]: under
 //! recurring destination patterns (the [`DestPattern::Pool`] population)
@@ -24,8 +25,7 @@ use hypercast::{Algorithm, CacheStats, TreeCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormsim::{
-    simulate_window_on_with_scratch, DepMessage, EngineScratch, NetStats, RunResult, SimParams,
-    SimTime,
+    DepMessage, EngineScratch, FaultPlan, NetStats, NoopProbe, RunResult, SimParams, SimTime,
 };
 
 /// Configuration of one open-loop traffic run.
@@ -189,15 +189,6 @@ impl SessionWorkload {
         self.cache
     }
 
-    /// The `i`-th session extracted as a standalone workload: its slice
-    /// of the flattened assembly with dependency indices rebased to the
-    /// session (dependencies never cross sessions, so the rebase is
-    /// exact) and `min_start` rebased to time zero. This is the
-    /// "sessions replayed into one scratch" unit the `engine_bench`
-    /// harness times: each session is a complete dependency workload of
-    /// its own, so a worker can drive one engine run per session
-    /// through a persistent [`EngineScratch`].
-    ///
     /// Assembles a workload from raw parts. `pub(crate)` so sibling
     /// session builders (the collective engine) can lay out their own
     /// spans without widening the field visibility.
@@ -213,6 +204,15 @@ impl SessionWorkload {
         }
     }
 
+    /// The `i`-th session extracted as a standalone workload: its slice
+    /// of the flattened assembly with dependency indices rebased to the
+    /// session (dependencies never cross sessions, so the rebase is
+    /// exact) and `min_start` rebased to time zero. This is the
+    /// "sessions replayed into one scratch" unit the `engine_bench`
+    /// harness times: each session is a complete dependency workload of
+    /// its own, so a worker can drive one engine run per session
+    /// through a persistent [`EngineScratch`].
+    ///
     /// # Panics
     /// If `i >= self.sessions()`.
     #[must_use]
@@ -448,9 +448,15 @@ pub fn run_sessions_on_with_scratch<R: Router>(
     params: &SimParams,
     scratch: &mut EngineScratch,
 ) -> TrafficReport {
-    let run =
-        simulate_window_on_with_scratch(router, params, &sessions.workload, spec.horizon, scratch)
-            .expect("windowed traffic runs cannot deadlock");
+    let run = wormsim::run(
+        router,
+        params,
+        &sessions.workload,
+        FaultPlan::none().deadline_all(spec.horizon),
+        &mut NoopProbe,
+        scratch,
+    )
+    .expect("windowed traffic runs cannot deadlock");
     assemble(spec, &run, &sessions.spans, sessions.cache)
 }
 
@@ -720,11 +726,15 @@ mod tests {
             }
             // A standalone session replay is a complete, runnable
             // workload: everything delivers on an uncontended network.
-            let run = wormsim::simulate_on(
+            let run = wormsim::run(
                 hcube::Ecube::new(Cube::of(5), Resolution::HighToLow),
                 &params,
                 &w,
-            );
+                &FaultPlan::none(),
+                &mut NoopProbe,
+                &mut EngineScratch::new(),
+            )
+            .expect("a session workload is well formed");
             assert!(run.messages.iter().all(|m| m.outcome.is_delivered()));
         }
         assert_eq!(total, assembly.messages().len());

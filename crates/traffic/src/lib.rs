@@ -21,8 +21,9 @@
 //! * [`engine`] — the session scheduler: each arrival becomes a batch of
 //!   [`wormsim::DepMessage`]s whose `min_start` is the arrival time,
 //!   trees come from a [`hypercast::TreeCache`] (recurring groups are
-//!   pointer-clone hits), and the whole run executes under
-//!   [`wormsim::simulate_window_on`] so saturation cannot run away;
+//!   pointer-clone hits), and the whole run executes as one
+//!   [`wormsim::run`] inside an observation window (a global deadline
+//!   in its fault plan), so saturation cannot run away;
 //! * [`stats`] — steady-state output analysis: warmup truncation,
 //!   batch-means confidence intervals, throughput, and the
 //!   [`stats::saturation_point`] detector for latency-vs-load sweeps;
@@ -33,13 +34,6 @@
 //!   [`hypercast::repair`](hypercast::repair::repair)-rebuilt trees,
 //!   surfacing delivery ratio, goodput, retry distributions, and
 //!   time-to-recover;
-//! * [`shard`] — the sharded session driver: the paper's
-//!   contention-free trees make sessions mutually independent, so the
-//!   sharded entry points simulate each session (or chaos retry chain)
-//!   alone on one of N worker threads — each with its own
-//!   [`wormsim::EngineScratch`], chaos workers sharing one
-//!   [`hypercast::TreeStore`] — and merge results in session order, so
-//!   every report is byte-identical at any worker count;
 //! * [`telemetry`] — the flight recorder: every `*_with_telemetry`
 //!   entry point runs the same workload once, observed, returning the
 //!   byte-identical report **plus** per-session spans with an exact
@@ -47,7 +41,14 @@
 //!   causally chained through retries) and a deterministic windowed
 //!   time-series (goodput, latency quantiles, cache hit rate, live
 //!   faults, per-dimension blocked time), exportable as Perfetto
-//!   traces, Prometheus metrics, or standalone JSON.
+//!   traces, Prometheus metrics, or standalone JSON;
+//! * [`trials`] — [`run_trials`], the slot-fill thread pool that runs
+//!   independent sweep points in parallel and returns them in trial
+//!   order.
+//!
+//! Every run simulates all of its sessions in **one** network, so
+//! concurrent sessions contend for channels exactly as the paper's
+//! worms do; there is no mode that simulates sessions apart.
 //!
 //! **Zero-load anchoring.** A one-session run of a
 //! [`DestPattern::Fixed`] pattern is byte-identical to the single-shot
@@ -89,9 +90,9 @@ pub mod churn;
 pub mod collective;
 pub mod engine;
 pub mod patterns;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
+pub mod trials;
 
 pub use arrivals::{ArrivalProcess, Arrivals};
 pub use chaos::{
@@ -110,10 +111,6 @@ pub use engine::{
     SessionWorkload, TrafficReport, TrafficSpec,
 };
 pub use patterns::DestPattern;
-pub use shard::{
-    run_chaos_cube_sharded, run_chaos_cube_sharded_with_store, run_chaos_separate_sharded_on,
-    run_cube_sharded, run_separate_sharded_on, run_sessions_sharded_on, run_trials,
-};
 pub use stats::{saturation_point, BatchMeans, LoadPoint, Quantiles};
 pub use telemetry::{
     run_chaos_cube_on_timeline_with_telemetry, run_chaos_cube_with_telemetry,
@@ -121,3 +118,4 @@ pub use telemetry::{
     AttemptSpan, PhaseBreakdown, SessionTrace, SpanOutcome, Telemetry, TelemetryBucket,
     TelemetryConfig, TelemetryProbe, TimeSeries,
 };
+pub use trials::run_trials;

@@ -29,8 +29,7 @@
 //!   counters, the live fault-element count at the bucket's start, and
 //!   per-dimension head-flit blocked time (attributed from the probe's
 //!   closed blocking intervals). The series is built by a deterministic
-//!   fold over the session traces — byte-identical no matter how a
-//!   caller later shards sessions across workers.
+//!   fold over the session traces.
 //!
 //! **Reconciliation contract.** Bucket sums equal the aggregate report
 //! exactly: Σ offered = sessions, Σ delivered = delivered sessions,
@@ -60,9 +59,8 @@ use crate::stats::Quantiles;
 use hcube::{Cube, Ecube, Resolution, Router, Topology};
 use hypercast::Algorithm;
 use wormsim::{
-    json_escape, simulate_window_observed_on_with_scratch, BlockedInterval, ChannelMap,
-    EngineScratch, FaultEpoch, FaultPlan, FaultTimeline, Histogram, MessageResult, MetricsRegistry,
-    Probe, RunResult, SimParams, SimTime,
+    json_escape, BlockedInterval, ChannelMap, EngineScratch, FaultEpoch, FaultPlan, FaultTimeline,
+    Histogram, MessageResult, MetricsRegistry, Probe, RunResult, SimParams, SimTime,
 };
 
 /// Telemetry layer configuration.
@@ -783,11 +781,11 @@ pub fn run_cube_with_telemetry(
     let assembly = assemble_cube_sessions(spec, cube, resolution, algo, params);
     let mut probe = TelemetryProbe::new();
     let mut scratch = EngineScratch::new();
-    let run = simulate_window_observed_on_with_scratch(
+    let run = wormsim::run(
         Ecube::new(cube, resolution),
         params,
         assembly.messages(),
-        spec.horizon,
+        FaultPlan::none().deadline_all(spec.horizon),
         &mut probe,
         &mut scratch,
     )
@@ -819,11 +817,11 @@ where
     let assembly = assemble_separate_sessions_on(spec, &router);
     let mut probe = TelemetryProbe::new();
     let mut scratch = EngineScratch::new();
-    let run = simulate_window_observed_on_with_scratch(
+    let run = wormsim::run(
         router,
         params,
         assembly.messages(),
-        spec.horizon,
+        FaultPlan::none().deadline_all(spec.horizon),
         &mut probe,
         &mut scratch,
     )

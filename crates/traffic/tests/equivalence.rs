@@ -7,7 +7,9 @@
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
-use wormsim::{simulate_multicast, simulate_on, DepMessage, SimParams, SimTime};
+use wormsim::{
+    simulate_multicast, DepMessage, EngineScratch, FaultPlan, NoopProbe, SimParams, SimTime,
+};
 
 fn one_shot_spec(source: NodeId, dests: Vec<NodeId>) -> TrafficSpec {
     let mut spec = TrafficSpec::new(
@@ -81,7 +83,15 @@ fn zero_load_torus_run_matches_simulate_on_byte_for_byte() {
             min_start: SimTime::ZERO,
         })
         .collect();
-    let single = simulate_on(TorusRouter::new(torus), &params, &workload);
+    let single = wormsim::run(
+        TorusRouter::new(torus),
+        &params,
+        &workload,
+        &FaultPlan::none(),
+        &mut NoopProbe,
+        &mut EngineScratch::new(),
+    )
+    .expect("separate addressing on the torus cannot deadlock");
 
     let spec = one_shot_spec(source, dests.clone());
     let report = traffic::run_separate_on(&spec, TorusRouter::new(torus), &params);

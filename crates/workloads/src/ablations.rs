@@ -240,7 +240,8 @@ pub fn ablation_contention(trials: usize) -> Figure {
 /// degradation.
 #[must_use]
 pub fn ablation_background_load(trials: usize) -> Figure {
-    use wormsim::{simulate, DepMessage, SimTime};
+    use hcube::Ecube;
+    use wormsim::{DepMessage, FaultPlan, NoopProbe, SimTime};
     let loads: Vec<usize> = vec![0, 8, 16, 32, 64, 128, 256];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
@@ -305,7 +306,15 @@ pub fn ablation_background_load(trials: usize) -> Figure {
                     .collect();
                 let tree_len = workload.len();
                 workload.extend(background.iter().cloned());
-                let run = simulate(cube, Resolution::HighToLow, &params, &workload);
+                let run = wormsim::run(
+                    Ecube::new(cube, Resolution::HighToLow),
+                    &params,
+                    &workload,
+                    &FaultPlan::none(),
+                    &mut NoopProbe,
+                    &mut EngineScratch::new(),
+                )
+                .expect("tree and background workloads are well formed");
                 let max_delay = run.messages[..tree_len]
                     .iter()
                     .map(|m| m.delivered)
@@ -560,7 +569,8 @@ pub fn ablation_concurrency(trials: usize) -> Figure {
 /// event model (%). Zero when traffic is contention-free.
 #[must_use]
 pub fn ablation_model_fidelity(trials: usize) -> Figure {
-    use wormsim::{simulate, simulate_flits, DepMessage, FlitMessage, SimTime};
+    use hcube::Ecube;
+    use wormsim::{simulate_flits, DepMessage, FaultPlan, FlitMessage, NoopProbe, SimTime};
     let batch_sizes: Vec<usize> = vec![1, 2, 4, 8, 16, 32];
     let cube = Cube::of(5);
     let flits = 64u32;
@@ -619,7 +629,15 @@ pub fn ablation_model_fidelity(trials: usize) -> Figure {
                     start_cycle: 0,
                 })
                 .collect();
-            let er = simulate(cube, Resolution::HighToLow, &cycle_params, &event_w);
+            let er = wormsim::run(
+                Ecube::new(cube, Resolution::HighToLow),
+                &cycle_params,
+                &event_w,
+                &FaultPlan::none(),
+                &mut NoopProbe,
+                &mut EngineScratch::new(),
+            )
+            .expect("unicast workloads are well formed");
             let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
             let em = er
                 .messages

@@ -322,7 +322,7 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
         &cfg.loads_64,
     );
 
-    // The sharded trial driver: per-worker scratch (reuse across runs is
+    // The trial pool: per-worker scratch (reuse across runs is
     // byte-invisible), task-indexed merge, so the sweep is worker-count
     // invariant.
     let mut points = traffic::run_trials(workers, tasks.len(), |i, scratch| {

@@ -34,7 +34,7 @@ use hcube::{Cube, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Rout
 use hypercast::{Algorithm, PortModel};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, simulate_observed_on, DepMessage, EventRecorder, SimParams, SimTime,
+    multicast_workload, DepMessage, EngineScratch, EventRecorder, FaultPlan, SimParams, SimTime,
 };
 
 /// Cube dimension of the heatmap experiment (64 nodes, as Figure 11).
@@ -85,8 +85,15 @@ pub fn contention_heatmap(trials: usize) -> Figure {
                 .expect("valid multicast input");
             let workload = multicast_workload(&tree, BYTES);
             let mut rec = EventRecorder::new();
-            let _run =
-                simulate_observed_on(Ecube::new(cube, resolution), &params, &workload, &mut rec);
+            wormsim::run(
+                Ecube::new(cube, resolution),
+                &params,
+                &workload,
+                &FaultPlan::none(),
+                &mut rec,
+                &mut EngineScratch::new(),
+            )
+            .expect("tree workloads are well formed");
             let mut per_dim = vec![0u64; N as usize];
             for ch in 0..map.externals() {
                 per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);
@@ -169,7 +176,15 @@ fn mesh_series<R: Router + Copy>(
             })
             .collect();
         let mut rec = EventRecorder::new();
-        let _run = simulate_observed_on(router, params, &workload, &mut rec);
+        wormsim::run(
+            router,
+            params,
+            &workload,
+            &FaultPlan::none(),
+            &mut rec,
+            &mut EngineScratch::new(),
+        )
+        .expect("minimal mesh routing cannot deadlock");
         let mut per_dim = vec![0u64; dims];
         for ch in 0..map.externals() {
             per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);

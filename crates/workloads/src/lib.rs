@@ -33,9 +33,9 @@
 //! * [`json`] — a minimal first-party JSON tree, parser, and printer
 //!   (the build environment is offline, so no `serde_json`);
 //! * [`serve`] — the long-running service mode behind `mcast serve`:
-//!   newline-delimited JSON requests dispatched onto the sharded
-//!   session drivers with a persistent tree store, plus the spec
-//!   builders and report formatters shared with the one-shot CLI;
+//!   newline-delimited JSON requests run in order on the same
+//!   contended engine as the one-shot CLI, plus the spec builders and
+//!   report formatters the two share;
 //! * [`stats`] — summary statistics.
 //!
 //! The `bench` crate's `artifacts` binary regenerates and checks them

@@ -1,12 +1,10 @@
 //! Long-running service mode: the `mcast serve` request loop.
 //!
-//! The one-shot CLI pays the process spawn, argument parse, and a cold
-//! tree cache on every invocation. This module turns the same entry
-//! points into a daemon: newline-delimited JSON requests on stdin,
-//! newline-delimited JSON responses on stdout, a persistent
-//! [`hypercast::TreeStore`] kept warm across requests, and the sharded
-//! session drivers of [`traffic::shard`] parallelizing each request
-//! across a worker pool.
+//! The one-shot CLI pays the process spawn and argument parse on every
+//! invocation. This module turns the same entry points into a daemon:
+//! newline-delimited JSON requests on stdin and newline-delimited JSON
+//! responses on stdout, each request simulated by the same contended
+//! engine run the CLI makes.
 //!
 //! ## Protocol
 //!
@@ -25,8 +23,7 @@
 //! ```
 //!
 //! Success wraps the *byte-identical* JSON object the one-shot CLI
-//! prints for the same configuration (plus a `"workers":N` echo when
-//! the request asked for a sharded run):
+//! prints for the same configuration:
 //!
 //! ```text
 //! {"id":1,"ok":true,"result":{"mode":"traffic","algo":"W-sort",...}}
@@ -39,34 +36,35 @@
 //! ```
 //!
 //! with `kind` one of `bad_json` (the line is not JSON), `bad_request`
-//! (unknown op / unknown field / invalid value), `oversized` (a value
-//! exceeds the server's configured caps), or `deadline_exceeded` (the
-//! request carried a `deadline_ms` and spent longer than that queued).
+//! (unknown op / unknown field / invalid value, including an integer
+//! too large for its field and a `load` whose schedule would overrun
+//! simulated time), `oversized` (a value exceeds the server's
+//! configured caps), or `deadline_exceeded` (the request carried a
+//! `deadline_ms` and spent longer than that queued).
 //!
 //! ## Execution model
 //!
 //! A reader thread parses lines into a bounded channel
 //! ([`ServeOptions::max_inflight`] entries); when the queue is full the
 //! reader stops consuming stdin, which backpressures the client through
-//! the pipe. A single executor drains the queue **in request order** —
-//! parallelism lives *inside* a request (the sharded drivers fan its
-//! sessions across `workers` threads), so responses never interleave
-//! and the output order is deterministic. `shutdown` answers after
-//! every request queued before it (the reader stops at the shutdown
-//! line), making drain graceful by construction.
+//! the pipe. A single executor drains the queue **in request order**,
+//! so responses never interleave and the output order is
+//! deterministic. `shutdown` answers after every request queued before
+//! it (the reader stops at the shutdown line), making drain graceful
+//! by construction.
 //!
-//! The spec builders ([`load_spec`], [`chaos_wrap`]) and report
-//! formatters ([`traffic_report_json`], [`chaos_report_json`],
-//! [`multicast_report_json`]) are the *single source* for both the
-//! one-shot CLI and the daemon, so serve-vs-CLI equivalence is
-//! structural, not coincidental.
+//! The load check and spec builders ([`check_load`], [`load_spec`],
+//! [`chaos_wrap`]) and report formatters ([`traffic_report_json`],
+//! [`chaos_report_json`], [`multicast_report_json`]) are the *single
+//! source* for both the one-shot CLI and the daemon, so serve-vs-CLI
+//! equivalence is structural, not coincidental.
 
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::time::Instant;
 
 use hcube::{Cube, NodeId, Resolution, Topology, Torus, TorusRouter};
-use hypercast::{Algorithm, PortModel, RetryPolicy, TreeStore};
+use hypercast::{Algorithm, PortModel, RetryPolicy};
 use traffic::{
     ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficReport,
     TrafficSpec,
@@ -79,10 +77,46 @@ use crate::json::{self, Value};
 // Shared spec builders (single source for the CLI and the daemon)
 // ---------------------------------------------------------------------------
 
+/// The latest simulated instant, in nanoseconds, that a `--load` run's
+/// arrival schedule or horizon may reach: a quarter of [`SimTime`]'s
+/// range (about 146 years), which leaves the engine room to add
+/// transfer times to any arrival without overflowing.
+const LOAD_SPAN_LIMIT_NS: f64 = (1u64 << 62) as f64;
+
+/// The horizon of a `--load` run in milliseconds: the nominal schedule
+/// plus 25% slack and a 30 ms drain tail.
+fn horizon_ms(rate: f64, sessions: usize) -> f64 {
+    sessions as f64 / rate * 1.25 + 30.0
+}
+
+/// Checks that `sessions` arrivals at `rate` sessions/ms under
+/// `arrivals` fit in simulated time: both the worst-case arrival
+/// schedule ([`Arrivals::span_bound_ns`]) and the [`load_spec`]
+/// horizon must stay within [`LOAD_SPAN_LIMIT_NS`]. Both front ends
+/// call it before [`load_spec`].
+///
+/// # Errors
+/// A human-readable message naming the load when it is too small for
+/// the session count.
+pub fn check_load(arrivals: ArrivalProcess, rate: f64, sessions: usize) -> Result<(), String> {
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("load must be a positive rate, got {rate}"));
+    }
+    let schedule_ns = Arrivals::new(arrivals, rate).span_bound_ns(sessions);
+    let horizon_ns = horizon_ms(rate, sessions) * 1e6;
+    if schedule_ns.max(horizon_ns) > LOAD_SPAN_LIMIT_NS {
+        return Err(format!(
+            "load {rate} sessions/ms is too low for {sessions} sessions: \
+             the schedule would overrun simulated time"
+        ));
+    }
+    Ok(())
+}
+
 /// Builds the open-loop [`TrafficSpec`] of a `--load` run: `rate`
 /// sessions/ms under `arrivals`, with the CLI's horizon convention —
 /// enough simulated time for the nominal schedule plus 25% slack and a
-/// 30 ms drain tail.
+/// 30 ms drain tail. Callers check the load with [`check_load`] first.
 #[must_use]
 pub fn load_spec(
     arrivals: ArrivalProcess,
@@ -94,7 +128,7 @@ pub fn load_spec(
 ) -> TrafficSpec {
     let mut spec = TrafficSpec::new(Arrivals::new(arrivals, rate), pattern, sessions, seed);
     spec.bytes = bytes;
-    spec.horizon = SimTime::from_ms((sessions as f64 / rate * 1.25 + 30.0) as u64);
+    spec.horizon = SimTime::from_ms(horizon_ms(rate, sessions) as u64);
     spec
 }
 
@@ -140,8 +174,11 @@ fn fin(x: f64) -> String {
     }
 }
 
-/// Appends `,"workers":N` inside the closing brace when the run was
-/// sharded, so one-shot (contended) output stays byte-identical.
+/// Appends `,"workers":N` inside the closing brace when `workers` is
+/// set. No run reports a worker count any more, so every caller in
+/// this repository passes `None`; the parameter stays because the
+/// repository benchmark's traced replay calls the report formatters
+/// with it.
 fn with_workers(mut line: String, workers: Option<usize>) -> String {
     if let Some(w) = workers {
         line.truncate(line.len() - 1);
@@ -151,7 +188,8 @@ fn with_workers(mut line: String, workers: Option<usize>) -> String {
 }
 
 /// The one-line JSON summary of an open-loop traffic report — the
-/// exact object `mcast --load --json` prints.
+/// exact object `mcast --load --json` prints (with `workers: None`;
+/// see `with_workers`).
 #[must_use]
 pub fn traffic_report_json(label: &str, r: &TrafficReport, workers: Option<usize>) -> String {
     let line = format!(
@@ -173,7 +211,8 @@ pub fn traffic_report_json(label: &str, r: &TrafficReport, workers: Option<usize
 }
 
 /// The one-line JSON summary of a chaos report — the exact object
-/// `mcast --load --chaos --json` prints.
+/// `mcast --load --chaos --json` prints (with `workers: None`; see
+/// `with_workers`).
 #[must_use]
 pub fn chaos_report_json(label: &str, r: &ChaosReport, workers: Option<usize>) -> String {
     let hist: Vec<String> = r.retry_histogram.iter().map(u64::to_string).collect();
@@ -247,8 +286,6 @@ pub struct ServeOptions {
     pub max_nodes: usize,
     /// Destination-set size ceiling (explicit `dests` or `random` m).
     pub max_dests: usize,
-    /// Worker-pool size ceiling for sharded requests.
-    pub max_workers: usize,
     /// Request-line length ceiling in bytes.
     pub max_line_bytes: usize,
 }
@@ -260,7 +297,6 @@ impl Default for ServeOptions {
             max_sessions: 20_000,
             max_nodes: 1024,
             max_dests: 256,
-            max_workers: 64,
             max_line_bytes: 1 << 20,
         }
     }
@@ -360,6 +396,22 @@ fn uint_field(f: &mut Fields, key: &str, default: u64) -> Result<u64, Refusal> {
     f.get(key).map_or(Ok(default), |v| as_uint(v, key))
 }
 
+/// A [`uint_field`] narrowed to `T`: a value that does not fit is
+/// refused, as `mcast` refuses the same argv value, never truncated.
+fn narrow_field<T: TryFrom<u64>>(f: &mut Fields, key: &str, default: u64) -> Result<T, Refusal> {
+    let v = uint_field(f, key, default)?;
+    T::try_from(v)
+        .map_err(|_| bad_request(format!("`{key}`: number too large to fit in target type")))
+}
+
+/// The payload size in bytes: 1 to 2^32-1, default 4096.
+fn bytes_field(f: &mut Fields) -> Result<u32, Refusal> {
+    u32::try_from(uint_field(f, "bytes", 4096)?)
+        .ok()
+        .filter(|&b| b > 0)
+        .ok_or_else(|| bad_request("`bytes` must be between 1 and 2^32-1"))
+}
+
 fn float_field(f: &mut Fields, key: &str) -> Result<Option<f64>, Refusal> {
     match f.get(key) {
         None => Ok(None),
@@ -405,11 +457,11 @@ fn parse_port(f: &mut Fields) -> Result<PortModel, Refusal> {
 /// pattern samplers can't panic on daemon input.
 fn parse_pattern(
     f: &mut Fields,
-    source: u64,
+    source: u32,
     nodes: usize,
     opts: &ServeOptions,
 ) -> Result<DestPattern, Refusal> {
-    if source >= nodes as u64 {
+    if source as usize >= nodes {
         return Err(bad_request(format!(
             "`source` {source} outside the {nodes}-node topology"
         )));
@@ -460,7 +512,7 @@ fn parse_pattern(
                         "destination {d} outside the {nodes}-node topology"
                     )));
                 }
-                if d == source {
+                if d == u64::from(source) {
                     return Err(bad_request(format!("destination {d} is the source itself")));
                 }
                 let d = NodeId(d as u32);
@@ -470,7 +522,7 @@ fn parse_pattern(
                 out.push(d);
             }
             Ok(DestPattern::Fixed {
-                source: NodeId(source as u32),
+                source: NodeId(source),
                 dests: out,
             })
         }
@@ -494,21 +546,16 @@ fn request_id(v: &Value) -> Result<u64, Refusal> {
 }
 
 /// The traffic/chaos shared front half: topology + pattern + spec
-/// fields, then the matching (sharded or contended) engine entry point.
-fn run_load(
-    chaos: bool,
-    f: &mut Fields,
-    store: &TreeStore,
-    opts: &ServeOptions,
-) -> Result<String, Refusal> {
+/// fields, then the matching contended engine entry point.
+fn run_load(chaos: bool, f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal> {
     let topology = str_field(f, "topology")?.unwrap_or("cube");
-    let n = uint_field(f, "n", 6)? as u8;
+    let n: u8 = narrow_field(f, "n", 6)?;
     let rate = match float_field(f, "load")? {
         Some(r) if r > 0.0 => r,
         Some(_) => return Err(bad_request("`load` must be > 0 sessions/ms")),
         None => return Err(bad_request("`load` (sessions/ms) is required")),
     };
-    let sessions = uint_field(f, "sessions", 100)? as usize;
+    let sessions: usize = narrow_field(f, "sessions", 100)?;
     if sessions == 0 {
         return Err(bad_request("`sessions` must be >= 1"));
     }
@@ -522,29 +569,10 @@ fn run_load(
         None => ArrivalProcess::Poisson,
         Some(s) => ArrivalProcess::parse(s).map_err(bad_request)?,
     };
+    check_load(arrivals, rate, sessions).map_err(bad_request)?;
     let seed = uint_field(f, "seed", 1)?;
-    let bytes = uint_field(f, "bytes", 4096)?;
-    if bytes == 0 || bytes > u64::from(u32::MAX) {
-        return Err(bad_request("`bytes` must be between 1 and 2^32-1"));
-    }
-    let bytes = bytes as u32;
-    let workers = match f.get("workers") {
-        None => None,
-        Some(v) => {
-            let w = as_uint(v, "workers")? as usize;
-            if w == 0 {
-                return Err(bad_request("`workers` must be >= 1"));
-            }
-            if w > opts.max_workers {
-                return Err(oversized(format!(
-                    "{w} workers exceed the cap of {}",
-                    opts.max_workers
-                )));
-            }
-            Some(w)
-        }
-    };
-    let source = uint_field(f, "source", 0)?;
+    let bytes = bytes_field(f)?;
+    let source: u32 = narrow_field(f, "source", 0)?;
     let port = parse_port(f)?;
     let params = SimParams::ncube2(port);
     let retry = if chaos {
@@ -556,7 +584,7 @@ fn run_load(
             Some(x) if x > 0.0 => x,
             _ => return Err(bad_request("`mttr_ms` must be a number > 0")),
         };
-        let retries = uint_field(f, "retries", 3)? as u32;
+        let retries: u32 = narrow_field(f, "retries", 3)?;
         let backoff_us = uint_field(f, "backoff_us", 500)?;
         if backoff_us == 0 {
             return Err(bad_request("`backoff_us` must be >= 1"));
@@ -579,49 +607,21 @@ fn run_load(
             }
             let pattern = parse_pattern(f, source, cube.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
-            match retry {
+            let resolution = Resolution::HighToLow;
+            Ok(match retry {
                 Some((mtbf, mttr, retries, backoff_us)) => {
                     let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = match workers {
-                        Some(w) => traffic::run_chaos_cube_sharded_with_store(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                            store,
-                        ),
-                        None => traffic::run_chaos_cube(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                        ),
-                    };
-                    Ok(chaos_report_json(algo.name(), &r, workers))
+                    let r = traffic::run_chaos_cube(&spec, cube, resolution, algo, &params);
+                    chaos_report_json(algo.name(), &r, None)
                 }
                 None => {
-                    let r = match workers {
-                        Some(w) => traffic::run_cube_sharded(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params)
-                        }
-                    };
-                    Ok(traffic_report_json(algo.name(), &r, workers))
+                    let r = traffic::run_cube(&spec, cube, resolution, algo, &params);
+                    traffic_report_json(algo.name(), &r, None)
                 }
-            }
+            })
         }
         "torus" => {
-            let arity = uint_field(f, "arity", 4)? as u16;
+            let arity: u16 = narrow_field(f, "arity", 4)?;
             let torus = Torus::new(arity, n).map_err(|e| bad_request(e.to_string()))?;
             if torus.node_count() > opts.max_nodes {
                 return Err(oversized(format!(
@@ -633,25 +633,17 @@ fn run_load(
             let pattern = parse_pattern(f, source, torus.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
             let router = TorusRouter::new(torus);
-            match retry {
+            Ok(match retry {
                 Some((mtbf, mttr, retries, backoff_us)) => {
                     let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = match workers {
-                        Some(w) => {
-                            traffic::run_chaos_separate_sharded_on(&spec, router, &params, w)
-                        }
-                        None => traffic::run_chaos_separate_on(&spec, router, &params),
-                    };
-                    Ok(chaos_report_json("Separate", &r, workers))
+                    let r = traffic::run_chaos_separate_on(&spec, router, &params);
+                    chaos_report_json("Separate", &r, None)
                 }
                 None => {
-                    let r = match workers {
-                        Some(w) => traffic::run_separate_sharded_on(&spec, router, &params, w),
-                        None => traffic::run_separate_on(&spec, router, &params),
-                    };
-                    Ok(traffic_report_json("Separate", &r, workers))
+                    let r = traffic::run_separate_on(&spec, router, &params);
+                    traffic_report_json("Separate", &r, None)
                 }
-            }
+            })
         }
         other => Err(bad_request(format!(
             "unknown topology `{other}` (cube or torus)"
@@ -662,7 +654,7 @@ fn run_load(
 /// A single-shot multicast request: build the tree, replay it on an
 /// idle network, return the CLI's summary object.
 fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal> {
-    let n = uint_field(f, "n", 6)? as u8;
+    let n: u8 = narrow_field(f, "n", 6)?;
     let cube = Cube::new(n).map_err(|e| bad_request(e.to_string()))?;
     if cube.node_count() > opts.max_nodes {
         return Err(oversized(format!(
@@ -672,19 +664,16 @@ fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal>
         )));
     }
     let algo = parse_algorithm(str_field(f, "algo")?.unwrap_or("wsort"))?;
-    let source = uint_field(f, "source", 0)?;
+    let source: u32 = narrow_field(f, "source", 0)?;
     let seed = uint_field(f, "seed", 1)?;
-    let bytes = uint_field(f, "bytes", 4096)?;
-    if bytes == 0 || bytes > u64::from(u32::MAX) {
-        return Err(bad_request("`bytes` must be between 1 and 2^32-1"));
-    }
-    let lanes = uint_field(f, "lanes", 1)?;
-    if lanes == 0 || lanes > 16 {
-        return Err(bad_request("`lanes` must be between 1 and 16"));
-    }
+    let bytes = bytes_field(f)?;
+    let lanes = u8::try_from(uint_field(f, "lanes", 1)?)
+        .ok()
+        .filter(|l| (1..=16).contains(l))
+        .ok_or_else(|| bad_request("`lanes` must be between 1 and 16"))?;
     let port = parse_port(f)?;
     let pattern = parse_pattern(f, source, cube.node_count(), opts)?;
-    let source = NodeId(source as u32);
+    let source = NodeId(source);
     let dests = match pattern {
         DestPattern::Fixed { dests, .. } => dests,
         DestPattern::UniformRandom { m } => {
@@ -699,14 +688,13 @@ fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal>
         .build(cube, Resolution::HighToLow, port, source, &dests)
         .map_err(|e| bad_request(e.to_string()))?;
     let params = SimParams::ncube2(port);
-    let report = wormsim::simulate_multicast_lanes(&tree, &params, bytes as u32, lanes as u8);
-    Ok(multicast_report_json(algo.name(), &report, lanes as u8))
+    let report = wormsim::simulate_multicast_lanes(&tree, &params, bytes, lanes);
+    Ok(multicast_report_json(algo.name(), &report, lanes))
 }
 
 fn execute(
     v: &Value,
     received: Instant,
-    store: &TreeStore,
     opts: &ServeOptions,
     summary: &ServeSummary,
 ) -> Result<(Option<String>, Executed), Refusal> {
@@ -732,7 +720,7 @@ fn execute(
     }
     let executed = match op {
         "traffic" | "chaos" => {
-            let line = run_load(op == "chaos", &mut f, store, opts)?;
+            let line = run_load(op == "chaos", &mut f, opts)?;
             f.finish()?;
             Executed::Line(line)
         }
@@ -743,15 +731,9 @@ fn execute(
         }
         "stats" => {
             f.finish()?;
-            let s = store.stats();
             Executed::Line(format!(
-                "{{\"mode\":\"stats\",\"served\":{},\"errors\":{},\"store_trees\":{},\
-                 \"store_hits\":{},\"store_misses\":{}}}",
-                summary.served,
-                summary.errors,
-                store.len(),
-                s.hits,
-                s.misses
+                "{{\"mode\":\"stats\",\"served\":{},\"errors\":{}}}",
+                summary.served, summary.errors
             ))
         }
         "shutdown" => {
@@ -846,12 +828,6 @@ fn read_requests(mut input: impl BufRead, tx: mpsc::SyncSender<Job>, max_line_by
 /// `output` in request order. A malformed line (`bad_json`) is the
 /// only way a request can fail without an echoed id.
 ///
-/// The [`TreeStore`] persists across requests, so a chaos request
-/// replaying a group pool the previous request already built gets its
-/// repaired trees as pointer clones — the warm-daemon advantage the
-/// one-shot CLI cannot have. Store warmth never changes response
-/// bytes (pinned by the `traffic::shard` warmth-invariance test).
-///
 /// # Errors
 ///
 /// Propagates `output` write failures; request-level problems become
@@ -869,7 +845,6 @@ where
     let max_line_bytes = opts.max_line_bytes;
     std::thread::scope(|scope| {
         scope.spawn(move || read_requests(input, tx, max_line_bytes));
-        let store = TreeStore::new();
         let mut summary = ServeSummary::default();
         for job in rx {
             let (id, outcome) = match &job.parsed {
@@ -882,7 +857,7 @@ where
                 ),
                 Ok(v) => match request_id(v) {
                     Err(r) => (None, Err(r)),
-                    Ok(id) => (Some(id), execute(v, job.received, &store, opts, &summary)),
+                    Ok(id) => (Some(id), execute(v, job.received, opts, &summary)),
                 },
             };
             match outcome {
@@ -942,19 +917,6 @@ mod tests {
         (lines, summary)
     }
 
-    fn strip_workers(line: &str) -> String {
-        match line.find(",\"workers\":") {
-            None => line.to_string(),
-            Some(i) => {
-                let rest = &line[i + 11..];
-                let end = rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .expect("workers echo is followed by a brace");
-                format!("{}{}", &line[..i], &rest[end..])
-            }
-        }
-    }
-
     const TRAFFIC: &str = "{\"id\":1,\"op\":\"traffic\",\"n\":5,\"algo\":\"wsort\",\"load\":2.0,\
          \"random\":6,\"sessions\":40,\"seed\":7}";
 
@@ -992,37 +954,9 @@ mod tests {
     }
 
     #[test]
-    fn responses_are_worker_count_invariant_up_to_the_echo() {
-        // Sharded (independent-session) responses are a distinct mode
-        // from the contended engine, but within the mode the worker
-        // count is invisible beyond the `"workers":N` echo.
-        let request = |workers: usize| {
-            TRAFFIC.replace(
-                ",\"seed\":7}",
-                &format!(",\"seed\":7,\"workers\":{workers}}}"),
-            )
-        };
-        let base = serve(&request(1), &ServeOptions::default()).0;
-        for workers in [2, 8] {
-            let (lines, _) = serve(&request(workers), &ServeOptions::default());
-            assert!(
-                lines[0].contains(&format!("\"workers\":{workers}")),
-                "the sharded response echoes its worker count: {}",
-                lines[0]
-            );
-            assert_eq!(
-                strip_workers(&lines[0]),
-                strip_workers(&base[0]),
-                "workers={workers} changed response bytes beyond the echo"
-            );
-        }
-    }
-
-    #[test]
     fn responses_are_interleaving_invariant() {
         let chaos = "{\"id\":2,\"op\":\"chaos\",\"n\":5,\"algo\":\"combine\",\"load\":1.5,\
-                     \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0,\
-                     \"workers\":2}";
+                     \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0}";
         let ab = serve(&format!("{TRAFFIC}\n{chaos}\n"), &ServeOptions::default()).0;
         let ba = serve(&format!("{chaos}\n{TRAFFIC}\n"), &ServeOptions::default()).0;
         assert_eq!(ab.len(), 2);
@@ -1034,18 +968,10 @@ mod tests {
     }
 
     #[test]
-    fn chaos_response_matches_the_one_shot_engine_and_store_stays_warm() {
+    fn chaos_response_matches_the_one_shot_engine() {
         let req = "{\"id\":4,\"op\":\"chaos\",\"n\":5,\"algo\":\"wsort\",\"load\":1.5,\
-                   \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0,\
-                   \"workers\":2}";
-        let stats = "{\"id\":5,\"op\":\"stats\"}";
-        let input = format!("{req}\n{req}\n{stats}\n");
-        let (lines, _) = serve(&input, &ServeOptions::default());
-        assert_eq!(
-            lines[0].replace("\"id\":4", ""),
-            lines[1].replace("\"id\":4", "")
-        );
-
+                   \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0}";
+        let (lines, _) = serve(req, &ServeOptions::default());
         let spec = chaos_wrap(
             load_spec(
                 ArrivalProcess::Poisson,
@@ -1060,27 +986,19 @@ mod tests {
             3,
             500,
         );
-        let report = traffic::run_chaos_cube_sharded_with_store(
+        let report = traffic::run_chaos_cube(
             &spec,
             Cube::of(5),
             Resolution::HighToLow,
             Algorithm::WSort,
             &SimParams::ncube2(PortModel::AllPort),
-            2,
-            &TreeStore::new(),
         );
         assert_eq!(
-            lines[0],
-            format!(
+            lines,
+            vec![format!(
                 "{{\"id\":4,\"ok\":true,\"result\":{}}}",
-                chaos_report_json("W-sort", &report, Some(2))
-            )
-        );
-        // The second identical request hit the persistent store.
-        assert!(
-            lines[2].contains("\"store_hits\":") && !lines[2].contains("\"store_hits\":0,"),
-            "the second chaos request should reuse stored trees: {}",
-            lines[2]
+                chaos_report_json("W-sort", &report, None)
+            )]
         );
     }
 
@@ -1163,10 +1081,20 @@ mod tests {
             "{\"id\":4,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"sessions\":999999}\n",
             "{\"id\":5,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"deadline_ms\":0}\n",
             "{\"id\":6,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"sessions\":20,\"n\":5}\n",
-            "{\"id\":7,\"op\":\"shutdown\"}\n",
+            // Integers too large for their fields are refused, not
+            // truncated (262 would wrap to a 6-cube, 65540 to arity 4).
+            "{\"id\":7,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"n\":262}\n",
+            "{\"id\":8,\"op\":\"multicast\",\"random\":4,\"n\":261}\n",
+            "{\"id\":9,\"op\":\"traffic\",\"topology\":\"torus\",\"arity\":65540,\"n\":2,\
+             \"load\":1.0,\"random\":4}\n",
+            // A load so small that the schedule overruns simulated time.
+            "{\"id\":10,\"op\":\"traffic\",\"n\":4,\"load\":1e-12,\"random\":2,\"sessions\":30}\n",
+            // `workers` is not a request field.
+            "{\"id\":11,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"sessions\":20,\"workers\":2}\n",
+            "{\"id\":12,\"op\":\"shutdown\"}\n",
         );
         let (lines, summary) = serve(input, &ServeOptions::default());
-        assert_eq!(lines.len(), 8);
+        assert_eq!(lines.len(), 13);
         assert!(lines[0].starts_with("{\"id\":null,\"ok\":false,\"error\":{\"kind\":\"bad_json\""));
         assert!(
             lines[1].starts_with("{\"id\":null,\"ok\":false,\"error\":{\"kind\":\"bad_request\"")
@@ -1180,12 +1108,32 @@ mod tests {
             "the daemon keeps serving after errors: {}",
             lines[6]
         );
-        assert!(lines[7].contains("\"mode\":\"shutdown\""));
+        for (line, field) in [(7, "`n`"), (8, "`n`"), (9, "`arity`")] {
+            assert!(
+                lines[line].contains("\"kind\":\"bad_request\"")
+                    && lines[line].contains(field)
+                    && lines[line].contains("too large"),
+                "{}",
+                lines[line]
+            );
+        }
+        assert!(
+            lines[10].contains("\"kind\":\"bad_request\"") && lines[10].contains("too low"),
+            "{}",
+            lines[10]
+        );
+        assert!(
+            lines[11].contains("\"kind\":\"bad_request\"")
+                && lines[11].contains("unknown field `workers`"),
+            "{}",
+            lines[11]
+        );
+        assert!(lines[12].contains("\"mode\":\"shutdown\""));
         assert_eq!(
             summary,
             ServeSummary {
                 served: 2,
-                errors: 6,
+                errors: 11,
                 shutdown: true
             }
         );

@@ -321,7 +321,7 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
         seed: run_seed(cfg.seed, "torus4x3", "Separate", 0),
     });
 
-    // The sharded trial driver: task-indexed merge keeps the sweep
+    // The trial pool: task-indexed merge keeps the sweep
     // worker-count invariant. The telemetry entry points allocate their
     // own engine arenas, so the per-worker scratch goes unused here.
     let series = traffic::run_trials(workers, tasks.len(), |i, _scratch| run_task(cfg, &tasks[i]));

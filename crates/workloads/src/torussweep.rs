@@ -12,9 +12,9 @@
 //! point is an apples-to-apples replay.
 
 use crate::figure::{Figure, Series};
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_on, DepMessage, SimParams, SimTime};
+use wormsim::{DepMessage, EngineScratch, FaultPlan, NoopProbe, RunResult, SimParams, SimTime};
 
 /// Separate-addressing workload: one independent unicast from the source
 /// to each destination.
@@ -31,7 +31,21 @@ fn separate_workload(source: NodeId, dests: &[NodeId], bytes: u32) -> Vec<DepMes
         .collect()
 }
 
-fn avg_delay_ms(run: &wormsim::RunResult) -> f64 {
+/// A fault-free, unobserved engine run on a fresh scratch.
+fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    let mut scratch = EngineScratch::new();
+    wormsim::run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        &mut NoopProbe,
+        &mut scratch,
+    )
+    .expect("separate addressing cannot deadlock on the cube or the dateline torus")
+}
+
+fn avg_delay_ms(run: &RunResult) -> f64 {
     if run.messages.is_empty() {
         return 0.0;
     }
@@ -74,8 +88,8 @@ pub fn torus_sweep(trials: usize) -> Figure {
             let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), m);
             let workload = separate_workload(NodeId(0), &dests, 4096);
 
-            let on_cube = simulate(cube, Resolution::HighToLow, &params, &workload);
-            let on_torus = simulate_on(router, &params, &workload);
+            let on_cube = replay(Ecube::new(cube, Resolution::HighToLow), &params, &workload);
+            let on_torus = replay(router, &params, &workload);
 
             samples[0].push(avg_delay_ms(&on_cube));
             samples[1].push(avg_delay_ms(&on_torus));

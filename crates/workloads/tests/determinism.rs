@@ -11,7 +11,7 @@
 //! 3. worker-count independence of [`run_matrix_with_workers`] — the
 //!    parallel sweep must aggregate identically at 1, 2, and 7 threads.
 
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use workloads::artifact::{from_json, to_json, Artifact, Codec};
 use workloads::chaossweep::{chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
@@ -20,7 +20,7 @@ use workloads::lanesweep::{LaneSweep, LaneSweepConfig};
 use workloads::sweep::{run_matrix_with_workers, MatrixResult};
 use workloads::telemetrysweep::{TelemetrySweep, TelemetrySweepConfig};
 use workloads::trafficsweep::{SweepConfig, TrafficSweep};
-use wormsim::{simulate, simulate_on, DepMessage, RunResult, SimParams, SimTime};
+use wormsim::{DepMessage, EngineScratch, FaultPlan, NoopProbe, RunResult, SimParams, SimTime};
 
 /// Golden output of `fig11 --trials 2`, captured from the pre-refactor
 /// monolithic engine. `fig11_12` must keep regenerating it byte for
@@ -61,6 +61,29 @@ fn contentious_workload(n: u32) -> Vec<DepMessage> {
     w
 }
 
+/// An unobserved engine run into `scratch`.
+fn run_into<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    plan: &FaultPlan,
+    scratch: &mut EngineScratch,
+) -> RunResult {
+    wormsim::run(router, params, workload, plan, &mut NoopProbe, scratch)
+        .expect("the workload is well formed")
+}
+
+/// [`run_into`] without faults, on a fresh scratch.
+fn run_fresh<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    run_into(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        &mut EngineScratch::new(),
+    )
+}
+
 fn assert_runs_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.messages, b.messages, "per-message results diverged");
     assert_eq!(a.stats, b.stats, "aggregate statistics diverged");
@@ -72,9 +95,9 @@ fn cube_runs_are_byte_identical_across_repeats() {
     let w = contentious_workload(16);
     for port in [PortModel::AllPort, PortModel::OnePort] {
         let params = SimParams::ncube2(port);
-        let first = simulate(cube, Resolution::HighToLow, &params, &w);
+        let first = run_fresh(Ecube::new(cube, Resolution::HighToLow), &params, &w);
         for _ in 0..3 {
-            let again = simulate(cube, Resolution::HighToLow, &params, &w);
+            let again = run_fresh(Ecube::new(cube, Resolution::HighToLow), &params, &w);
             assert_runs_identical(&first, &again);
         }
     }
@@ -86,9 +109,9 @@ fn torus_runs_are_byte_identical_across_repeats() {
     let router = TorusRouter::new(torus);
     let params = SimParams::ncube2(PortModel::AllPort);
     let w = contentious_workload(16);
-    let first = simulate_on(router, &params, &w);
+    let first = run_fresh(router, &params, &w);
     for _ in 0..3 {
-        assert_runs_identical(&first, &simulate_on(router, &params, &w));
+        assert_runs_identical(&first, &run_fresh(router, &params, &w));
     }
 }
 
@@ -106,9 +129,9 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
 
     for port in [PortModel::AllPort, PortModel::OnePort] {
         let params = SimParams::ncube2(port);
-        let base = simulate_on(hcube::Ecube::new(cube, Resolution::HighToLow), &params, &w);
-        let lane1 = simulate_on(
-            hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 1),
+        let base = run_fresh(Ecube::new(cube, Resolution::HighToLow), &params, &w);
+        let lane1 = run_fresh(
+            Ecube::with_lanes(cube, Resolution::HighToLow, 1),
             &params,
             &w,
         );
@@ -116,11 +139,11 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
     }
 
     let torus = Torus::of(4, 2);
-    let base = simulate_on(TorusRouter::new(torus), &params, &w);
-    let m1 = simulate_on(TorusRouter::with_lane_multiplier(torus, 1), &params, &w);
+    let base = run_fresh(TorusRouter::new(torus), &params, &w);
+    let m1 = run_fresh(TorusRouter::with_lane_multiplier(torus, 1), &params, &w);
     assert_runs_identical(&base, &m1);
 
-    let mut plan = wormsim::FaultPlan::random_links(cube, 4, 5);
+    let mut plan = FaultPlan::random_links(cube, 4, 5);
     plan.stall(
         NodeId(1),
         hcube::Dim(0),
@@ -128,24 +151,24 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
         SimTime::from_ns(40_000),
     )
     .deadline_all(SimTime::from_ns(120_000));
-    let base = wormsim::simulate_with_faults_on(
-        hcube::Ecube::new(cube, Resolution::HighToLow),
+    let base = run_into(
+        Ecube::new(cube, Resolution::HighToLow),
         &params,
         &w,
         &plan,
-    )
-    .expect("faulted workload is well-formed");
-    let lane1 = wormsim::simulate_with_faults_on(
-        hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 1),
+        &mut EngineScratch::new(),
+    );
+    let lane1 = run_into(
+        Ecube::with_lanes(cube, Resolution::HighToLow, 1),
         &params,
         &w,
         &plan,
-    )
-    .expect("faulted workload is well-formed");
+        &mut EngineScratch::new(),
+    );
     assert_runs_identical(&base, &lane1);
 
-    let wide = simulate_on(
-        hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 4),
+    let wide = run_fresh(
+        Ecube::with_lanes(cube, Resolution::HighToLow, 4),
         &params,
         &w,
     );
@@ -167,14 +190,14 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
 #[test]
 fn scratch_reuse_is_byte_identical_to_fresh_allocation() {
     let params = SimParams::ncube2(PortModel::AllPort);
-    let mut scratch = wormsim::EngineScratch::new();
+    let mut scratch = EngineScratch::new();
 
     let cube = Cube::of(4);
-    let cube_router = hcube::Ecube::new(cube, Resolution::HighToLow);
+    let cube_router = Ecube::new(cube, Resolution::HighToLow);
     let torus_router = TorusRouter::new(Torus::of(4, 2));
     let w = contentious_workload(16);
 
-    let mut plan = wormsim::FaultPlan::random_links(cube, 4, 5);
+    let mut plan = FaultPlan::random_links(cube, 4, 5);
     plan.stall(
         NodeId(1),
         hcube::Dim(0),
@@ -184,24 +207,16 @@ fn scratch_reuse_is_byte_identical_to_fresh_allocation() {
     .deadline_all(SimTime::from_ns(120_000));
 
     for _ in 0..3 {
-        let fresh = simulate_on(cube_router, &params, &w);
-        let reused = wormsim::simulate_on_with_scratch(cube_router, &params, &w, &mut scratch);
+        let fresh = run_fresh(cube_router, &params, &w);
+        let reused = run_into(cube_router, &params, &w, &FaultPlan::none(), &mut scratch);
         assert_runs_identical(&fresh, &reused);
 
-        let fresh = simulate_on(torus_router, &params, &w);
-        let reused = wormsim::simulate_on_with_scratch(torus_router, &params, &w, &mut scratch);
+        let fresh = run_fresh(torus_router, &params, &w);
+        let reused = run_into(torus_router, &params, &w, &FaultPlan::none(), &mut scratch);
         assert_runs_identical(&fresh, &reused);
 
-        let fresh = wormsim::simulate_with_faults_on(cube_router, &params, &w, &plan)
-            .expect("faulted workload is well-formed");
-        let reused = wormsim::simulate_with_faults_on_with_scratch(
-            cube_router,
-            &params,
-            &w,
-            &plan,
-            &mut scratch,
-        )
-        .expect("faulted workload is well-formed");
+        let fresh = run_into(cube_router, &params, &w, &plan, &mut EngineScratch::new());
+        let reused = run_into(cube_router, &params, &w, &plan, &mut scratch);
         assert_runs_identical(&fresh, &reused);
         assert!(
             fresh.stats.timed_out > 0 || fresh.messages.iter().any(|m| !m.outcome.is_delivered()),
@@ -234,9 +249,17 @@ fn observed_runs_match_unobserved_runs_bit_for_bit() {
     let cube = Cube::of(4);
     let w = contentious_workload(16);
     let params = SimParams::ncube2(PortModel::AllPort);
-    let plain = simulate(cube, Resolution::HighToLow, &params, &w);
+    let plain = run_fresh(Ecube::new(cube, Resolution::HighToLow), &params, &w);
     let mut rec = wormsim::EventRecorder::new();
-    let observed = wormsim::simulate_observed(cube, Resolution::HighToLow, &params, &w, &mut rec);
+    let observed = wormsim::run(
+        Ecube::new(cube, Resolution::HighToLow),
+        &params,
+        &w,
+        &FaultPlan::none(),
+        &mut rec,
+        &mut EngineScratch::new(),
+    )
+    .expect("the workload is well formed");
     assert_runs_identical(&plain, &observed);
 }
 
@@ -612,94 +635,4 @@ fn committed<T: Codec>(name: &str) -> T {
     let path = format!("{}/../../results/{name}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     from_json(&text).unwrap_or_else(|e| panic!("{path} violates its own schema: {e}"))
-}
-
-/// The sharded session driver's central contract: a sharded report is
-/// byte-identical at 1, 2, and 8 workers, on every path it serves —
-/// plain cube traffic, the torus separate-addressing backend, and both
-/// chaos retry engines. The `{:?}` rendering covers every field of the
-/// report (per-session records, batch-means latency, cache and network
-/// counters), so any scheduling leak shows up as a byte diff.
-#[test]
-fn sharded_reports_are_byte_identical_across_worker_counts() {
-    use traffic::{ArrivalProcess, Arrivals, ChaosSpec, ChurnSpec, DestPattern, TrafficSpec};
-
-    let spec = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, 2.0),
-        DestPattern::UniformRandom { m: 6 },
-        40,
-        11,
-    );
-    let params = SimParams::ncube2(PortModel::AllPort);
-    let chaos = ChaosSpec {
-        traffic: spec.clone(),
-        churn: ChurnSpec {
-            link_mtbf_ms: 8.0,
-            link_mttr_ms: 2.0,
-            node_mtbf_ms: 32.0,
-            node_mttr_ms: 3.0,
-            churn_until: SimTime::from_ms(15),
-        },
-        retry: hypercast::RetryPolicy {
-            max_retries: 3,
-            base_backoff: 500,
-            backoff_factor: 4,
-        },
-    };
-    let torus = Torus::new(4, 3).expect("a 4-ary 3-cube builds");
-
-    let cube_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_cube_sharded(
-                &spec,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                w,
-            )
-        )
-    };
-    let torus_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_separate_sharded_on(&spec, TorusRouter::new(torus), &params, w)
-        )
-    };
-    let chaos_cube_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_chaos_cube_sharded(
-                &chaos,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                w,
-            )
-        )
-    };
-    let chaos_torus_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_chaos_separate_sharded_on(&chaos, TorusRouter::new(torus), &params, w)
-        )
-    };
-
-    for (label, run) in [
-        ("cube", &cube_run as &dyn Fn(usize) -> String),
-        ("torus", &torus_run),
-        ("chaos cube", &chaos_cube_run),
-        ("chaos torus", &chaos_torus_run),
-    ] {
-        let serial = run(1);
-        for workers in [2, 8] {
-            assert_eq!(
-                run(workers),
-                serial,
-                "the sharded {label} report changed at {workers} workers"
-            );
-        }
-    }
 }

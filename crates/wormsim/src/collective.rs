@@ -8,9 +8,10 @@
 //! dateline-lane router — which is how the collectives sweep compares
 //! topologies under one timing model.
 
-use crate::engine::{simulate_on, DepMessage};
-use crate::multicast::SimReport;
+use crate::engine::DepMessage;
+use crate::multicast::{replay, SimReport};
 use crate::params::SimParams;
+use crate::scratch::EngineScratch;
 use crate::time::SimTime;
 use hcube::{Cube, Ecube, Resolution, Router};
 use hypercast::CollectiveSchedule;
@@ -42,7 +43,7 @@ pub fn simulate_collective_on<R: Router>(
     params: &SimParams,
 ) -> SimReport {
     let workload = collective_workload(sched);
-    let run = simulate_on(router, params, &workload);
+    let run = replay(router, params, &workload, &mut EngineScratch::new());
     let deliveries = sched
         .ops
         .iter()

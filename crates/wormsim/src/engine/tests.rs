@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::time::SimTime;
-use hcube::{Dim, NodeId, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::PortModel;
 
 fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
@@ -17,14 +17,40 @@ fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
     }
 }
 
-fn run(n: u8, params: &SimParams, workload: &[DepMessage]) -> RunResult {
-    simulate(Cube::of(n), Resolution::HighToLow, params, workload)
+/// [`run`] unobserved on a fresh scratch.
+fn try_on<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    plan: &FaultPlan,
+) -> Result<RunResult, SimError> {
+    run(
+        router,
+        params,
+        workload,
+        plan,
+        &mut NoopProbe,
+        &mut EngineScratch::new(),
+    )
+}
+
+/// [`try_on`] without faults, panicking with the error's message.
+fn on<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    try_on(router, params, workload, &FaultPlan::none()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn ecube(n: u8) -> Ecube {
+    Ecube::new(Cube::of(n), Resolution::HighToLow)
+}
+
+fn sim(n: u8, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    on(ecube(n), params, workload)
 }
 
 #[test]
 fn single_unicast_matches_latency_formula() {
     let p = SimParams::ncube2(PortModel::AllPort);
-    let r = run(4, &p, &[msg(0b0101, 0b1110, 4096, vec![])]);
+    let r = sim(4, &p, &[msg(0b0101, 0b1110, 4096, vec![])]);
     assert_eq!(r.messages[0].delivered, p.unicast_latency(3, 4096));
     assert_eq!(r.messages[0].blocks, 0);
     assert_eq!(r.messages[0].outcome, Outcome::Delivered);
@@ -34,8 +60,8 @@ fn single_unicast_matches_latency_formula() {
 #[test]
 fn latency_is_nearly_distance_insensitive() {
     let p = SimParams::ncube2(PortModel::AllPort);
-    let near = run(6, &p, &[msg(0, 1, 4096, vec![])]).messages[0].delivered;
-    let far = run(6, &p, &[msg(0, 0b111111, 4096, vec![])]).messages[0].delivered;
+    let near = sim(6, &p, &[msg(0, 1, 4096, vec![])]).messages[0].delivered;
+    let far = sim(6, &p, &[msg(0, 0b111111, 4096, vec![])]).messages[0].delivered;
     assert_eq!(far - near, p.t_hop * 5);
     // The 5-hop difference is under 1% of the total latency.
     assert!((far - near).as_ns() * 100 < near.as_ns());
@@ -46,7 +72,7 @@ fn same_source_shared_channel_is_a_port_wait() {
     // Both messages need channel 0→0b100 as their *first* hop: this
     // is Theorem 3's benign case — source-side serialization.
     let p = SimParams::ncube2(PortModel::AllPort);
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[msg(0, 0b100, 4096, vec![]), msg(0, 0b101, 4096, vec![])],
@@ -68,7 +94,7 @@ fn mid_path_shared_channel_is_real_contention() {
     // msg1: 0b110→0b011 (hops 0b110→0b010, 0b010→0b011): collides on
     // the *second* hop's channel 0b010→0b011 while holding its first.
     let p = SimParams::ncube2(PortModel::AllPort);
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[
@@ -86,7 +112,7 @@ fn mid_path_shared_channel_is_real_contention() {
 fn disjoint_messages_run_in_parallel() {
     let p = SimParams::ncube2(PortModel::AllPort);
     // From different sources to different subcubes: fully parallel.
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[msg(0, 0b100, 4096, vec![]), msg(0b001, 0b011, 4096, vec![])],
@@ -100,7 +126,7 @@ fn disjoint_messages_run_in_parallel() {
 fn cpu_startup_serializes_two_sends_from_one_node() {
     let p = SimParams::ncube2(PortModel::AllPort);
     // Distinct channels, so only CPU startup separates them.
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[msg(0, 0b100, 4096, vec![]), msg(0, 0b010, 4096, vec![])],
@@ -113,7 +139,7 @@ fn cpu_startup_serializes_two_sends_from_one_node() {
 fn one_port_serializes_whole_transmissions() {
     let mut p = SimParams::ncube2(PortModel::OnePort);
     p.cpu_serialized_startup = false; // isolate the port effect
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[msg(0, 0b100, 4096, vec![]), msg(0, 0b010, 4096, vec![])],
@@ -131,7 +157,7 @@ fn one_port_serializes_reception() {
     let mut p = SimParams::ncube2(PortModel::OnePort);
     p.cpu_serialized_startup = false;
     // Two senders target the same destination from different sides.
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[
@@ -147,7 +173,7 @@ fn one_port_serializes_reception() {
 #[test]
 fn dependencies_gate_injection() {
     let p = SimParams::ncube2(PortModel::AllPort);
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[
@@ -168,7 +194,7 @@ fn min_start_delays_sources() {
     let p = SimParams::ideal(PortModel::AllPort);
     let mut m = msg(0, 1, 10, vec![]);
     m.min_start = SimTime::from_us(5);
-    let r = run(3, &p, &[m]);
+    let r = sim(3, &p, &[m]);
     assert_eq!(r.messages[0].injected, SimTime::from_us(5));
 }
 
@@ -176,8 +202,8 @@ fn min_start_delays_sources() {
 fn deterministic_across_runs() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let workload: Vec<DepMessage> = (1..8u32).map(|d| msg(0, d, 4096, vec![])).collect();
-    let a = run(3, &p, &workload);
-    let b = run(3, &p, &workload);
+    let a = sim(3, &p, &workload);
+    let b = sim(3, &p, &workload);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.stats, b.stats);
 }
@@ -186,26 +212,26 @@ fn deterministic_across_runs() {
 #[should_panic(expected = "self-send")]
 fn rejects_self_send() {
     let p = SimParams::ideal(PortModel::AllPort);
-    let _ = run(3, &p, &[msg(1, 1, 10, vec![])]);
+    let _ = sim(3, &p, &[msg(1, 1, 10, vec![])]);
 }
 
 #[test]
 fn typed_errors_for_malformed_workloads() {
     let p = SimParams::ideal(PortModel::AllPort);
-    let cube = Cube::of(3);
-    let r = try_simulate(cube, Resolution::HighToLow, &p, &[msg(1, 1, 10, vec![])]);
+    let none = FaultPlan::none();
+    let r = try_on(ecube(3), &p, &[msg(1, 1, 10, vec![])], &none);
     assert_eq!(r.unwrap_err(), SimError::SelfSend { index: 0 });
-    let r = try_simulate(cube, Resolution::HighToLow, &p, &[msg(0, 1, 10, vec![9])]);
+    let r = try_on(ecube(3), &p, &[msg(0, 1, 10, vec![9])], &none);
     assert_eq!(
         r.unwrap_err(),
         SimError::DependencyOutOfRange { index: 0, dep: 9 }
     );
     // Two messages depending on each other: a cycle.
-    let r = try_simulate(
-        cube,
-        Resolution::HighToLow,
+    let r = try_on(
+        ecube(3),
         &p,
         &[msg(0, 1, 10, vec![1]), msg(2, 3, 10, vec![0])],
+        &none,
     );
     match r.unwrap_err() {
         SimError::DependencyCycle { stuck } => assert_eq!(stuck, vec![0, 1]),
@@ -219,7 +245,7 @@ fn typed_errors_for_malformed_workloads() {
 fn dim_utilization_tracks_only_traversed_dimensions() {
     let p = SimParams::ncube2(PortModel::AllPort);
     // 0b0101 → 0b1110 crosses dimensions 3, 1, 0 — never dimension 2.
-    let r = run(4, &p, &[msg(0b0101, 0b1110, 4096, vec![])]);
+    let r = sim(4, &p, &[msg(0b0101, 0b1110, 4096, vec![])]);
     assert_eq!(r.stats.dim_channels, vec![16, 16, 16, 16]);
     assert_eq!(r.stats.dim_busy.len(), 4);
     for d in [0usize, 1, 3] {
@@ -237,7 +263,7 @@ fn max_queue_depth_counts_simultaneous_waiters() {
     let p = SimParams::ncube2(PortModel::AllPort);
     // Three same-source messages all need channel 0→0b100 first: two of
     // them sit in its FIFO at once.
-    let r = run(
+    let r = sim(
         3,
         &p,
         &[
@@ -248,7 +274,7 @@ fn max_queue_depth_counts_simultaneous_waiters() {
     );
     assert_eq!(r.stats.max_queue_depth, 2);
     // A lone unicast queues on nothing.
-    let solo = run(3, &p, &[msg(0, 0b100, 4096, vec![])]);
+    let solo = sim(3, &p, &[msg(0, 0b100, 4096, vec![])]);
     assert_eq!(solo.stats.max_queue_depth, 0);
 }
 
@@ -258,9 +284,10 @@ fn max_queue_depth_counts_simultaneous_waiters() {
 fn generic_cube_run_equals_classic_entry_point() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let workload: Vec<DepMessage> = (1..8u32).map(|d| msg(0, d, 4096, vec![])).collect();
-    let classic = run(3, &p, &workload);
-    let generic = simulate_on(
-        Ecube::new(Cube::of(3), Resolution::HighToLow),
+    // The lane-aware E-cube router at one lane is the classic router.
+    let classic = sim(3, &p, &workload);
+    let generic = on(
+        Ecube::with_lanes(Cube::of(3), Resolution::HighToLow, 1),
         &p,
         &workload,
     );
@@ -275,7 +302,7 @@ fn torus_unicast_delivers_with_minimal_hops_latency() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let src = torus.node_at(&[0, 0]);
     let dst = torus.node_at(&[3, 2]); // 1 wrap hop + 2 hops = distance 3
-    let r = simulate_on(
+    let r = on(
         router,
         &p,
         &[DepMessage {
@@ -318,7 +345,8 @@ fn torus_wrap_heavy_traffic_never_wedges() {
             }
         })
         .collect();
-    let r = try_simulate_on(router, &p, &workload).expect("dateline VCs prevent deadlock");
+    let r =
+        try_on(router, &p, &workload, &FaultPlan::none()).expect("dateline VCs prevent deadlock");
     assert_eq!(r.delivered_count(), workload.len());
 }
 
@@ -338,8 +366,8 @@ fn torus_runs_are_deterministic() {
             min_start: SimTime::ZERO,
         })
         .collect();
-    let a = simulate_on(router, &p, &workload);
-    let b = simulate_on(router, &p, &workload);
+    let a = on(router, &p, &workload);
+    let b = on(router, &p, &workload);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.stats, b.stats);
 }
@@ -352,14 +380,14 @@ fn with_faults(
     workload: &[DepMessage],
     plan: &FaultPlan,
 ) -> Result<RunResult, SimError> {
-    simulate_with_faults(Cube::of(n), Resolution::HighToLow, params, workload, plan)
+    try_on(ecube(n), params, workload, plan)
 }
 
 #[test]
 fn empty_plan_is_identical_to_fault_free_run() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let workload: Vec<DepMessage> = (1..8u32).map(|d| msg(0, d, 4096, vec![])).collect();
-    let a = run(3, &p, &workload);
+    let a = sim(3, &p, &workload);
     let b = with_faults(3, &p, &workload, &FaultPlan::none()).unwrap();
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.stats, b.stats);
@@ -443,7 +471,7 @@ fn torus_dead_node_aborts_routes_through_it() {
     // [0,0] → [2,0] routes through [1,0] (dimension-ordered, + way).
     let mut plan = FaultPlan::none();
     plan.fail_node(torus.node_at(&[1, 0]));
-    let r = simulate_with_faults_on(
+    let r = try_on(
         router,
         &p,
         &[DepMessage {
@@ -465,7 +493,7 @@ fn torus_dead_node_aborts_routes_through_it() {
 #[test]
 fn transient_stall_delays_but_delivers() {
     let p = SimParams::ncube2(PortModel::AllPort);
-    let clean = run(3, &p, &[msg(0, 0b100, 4096, vec![])]);
+    let clean = sim(3, &p, &[msg(0, 0b100, 4096, vec![])]);
     let mut plan = FaultPlan::none();
     // Stall the only hop across its acquisition time.
     plan.stall(NodeId(0), Dim(2), SimTime::ZERO, SimTime::from_us(500));
@@ -572,12 +600,12 @@ fn window_below_saturation_is_bit_identical_to_unbounded() {
         msg(0, 0b011, 4096, vec![]),
         msg(0b100, 0b110, 4096, vec![0]),
     ];
-    let unbounded = run(3, &p, &workload);
-    let windowed = simulate_window_on(
-        Ecube::new(Cube::of(3), Resolution::HighToLow),
+    let unbounded = sim(3, &p, &workload);
+    let windowed = try_on(
+        ecube(3),
         &p,
         &workload,
-        SimTime::from_ms(1_000),
+        FaultPlan::none().deadline_all(SimTime::from_ms(1_000)),
     )
     .unwrap();
     assert_eq!(
@@ -595,11 +623,11 @@ fn window_times_out_arrivals_beyond_the_horizon() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let mut late = msg(0, 0b001, 64, vec![]);
     late.min_start = SimTime::from_ms(2);
-    let r = simulate_window_on(
-        Ecube::new(Cube::of(3), Resolution::HighToLow),
+    let r = try_on(
+        ecube(3),
         &p,
         &[msg(0, 0b010, 64, vec![]), late],
-        SimTime::from_ms(1),
+        FaultPlan::none().deadline_all(SimTime::from_ms(1)),
     )
     .unwrap();
     assert_eq!(r.messages[0].outcome, Outcome::Delivered);
@@ -619,7 +647,8 @@ fn window_works_on_the_torus() {
         deps: vec![],
         min_start: SimTime::ZERO,
     }];
-    let r =
-        simulate_window_on(TorusRouter::new(torus), &p, &workload, SimTime::from_ms(50)).unwrap();
+    let mut window = FaultPlan::none();
+    window.deadline_all(SimTime::from_ms(50));
+    let r = try_on(TorusRouter::new(torus), &p, &workload, &window).unwrap();
     assert!(r.messages[0].outcome.is_delivered());
 }

@@ -250,8 +250,11 @@ fn release(i: usize, ch: usize, owner: &mut [Option<usize>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, DepMessage};
+    use crate::engine::{run, DepMessage, RunResult};
+    use crate::faults::FaultPlan;
     use crate::params::SimParams;
+    use crate::probe::NoopProbe;
+    use crate::scratch::EngineScratch;
     use crate::time::SimTime;
     use hypercast::PortModel;
 
@@ -266,6 +269,22 @@ mod tests {
 
     /// Event-engine parameters equivalent to 1 cycle per hop and per flit,
     /// no software costs.
+    /// The event engine's fault-free run of `w` on `cube`, timed in
+    /// flit cycles.
+    fn event_run(cube: Cube, w: &[DepMessage]) -> RunResult {
+        let router = Ecube::new(cube, Resolution::HighToLow);
+        let mut scratch = EngineScratch::new();
+        run(
+            router,
+            &cycle_params(),
+            w,
+            &FaultPlan::none(),
+            &mut NoopProbe,
+            &mut scratch,
+        )
+        .expect("the workload is well formed")
+    }
+
     fn cycle_params() -> SimParams {
         SimParams {
             t_send_sw: SimTime::ZERO,
@@ -311,7 +330,7 @@ mod tests {
             })
             .collect();
         let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = event_run(cube, &event_w);
         for (f, e) in fr.iter().zip(&er.messages) {
             assert_eq!(e.delivered.as_ns(), f.delivered_cycle + 1);
             assert_eq!(f.blocked_cycles, 0);
@@ -338,7 +357,7 @@ mod tests {
                 min_start: SimTime::ZERO,
             })
             .collect();
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = event_run(cube, &event_w);
         // Both models: follower blocked.
         assert!(fr[1].blocked_cycles > 0);
         assert!(er.messages[1].blocks + er.messages[1].port_waits > 0);
@@ -451,7 +470,7 @@ mod tests {
                 min_start: SimTime::ZERO,
             })
             .collect();
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = event_run(cube, &event_w);
         // Flit run with each message starting when the event model says
         // its parent delivered (so both models see the same send times).
         let flit_w: Vec<FlitMessage> = tree

@@ -17,7 +17,8 @@
 //! * one-port nodes are modeled with virtual injection and consumption
 //!   channels, so port serialization falls out of ordinary contention.
 //!
-//! [`engine::simulate`] executes arbitrary dependency workloads;
+//! [`engine::run`] executes arbitrary dependency workloads on any
+//! router, under a fault plan, observed by any probe;
 //! [`multicast::simulate_multicast`] and
 //! [`multicast::simulate_reduction`] replay `hypercast` trees, producing
 //! the per-destination delays plotted in the paper's Figures 11–14.
@@ -57,22 +58,17 @@ pub mod trace;
 
 pub use collective::{collective_workload, simulate_collective, simulate_collective_on};
 pub use engine::{
-    simulate, simulate_observed, simulate_observed_on, simulate_observed_with_faults_on,
-    simulate_observed_with_faults_on_with_scratch, simulate_on, simulate_on_with_scratch,
-    simulate_window_observed_on, simulate_window_observed_on_with_scratch, simulate_window_on,
-    simulate_window_on_with_scratch, simulate_with_faults, simulate_with_faults_on,
-    simulate_with_faults_on_with_scratch, try_simulate, try_simulate_observed_on, try_simulate_on,
-    try_simulate_on_with_scratch, DepMessage, FaultCause, MessageResult, NetStats, Outcome,
-    RunResult, SimError,
+    run, simulate_window_observed_on_with_scratch, simulate_window_on_with_scratch, DepMessage,
+    FaultCause, MessageResult, NetStats, Outcome, RunResult, SimError,
 };
 pub use faults::{FaultEpoch, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
 pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
 pub use metrics::{Histogram, Metrics, MetricsRegistry};
 pub use multicast::{
     multicast_workload, simulate_chunked_multicast, simulate_concurrent_multicasts,
-    simulate_gather, simulate_multicast, simulate_multicast_lanes, simulate_multicast_observed,
-    simulate_multicast_with_faults, simulate_multicast_with_scratch, simulate_reduction,
-    simulate_scatter, simulate_unicast, ConcurrentReport, FaultSimReport, SimReport, TreeReport,
+    simulate_gather, simulate_multicast, simulate_multicast_lanes, simulate_multicast_with_faults,
+    simulate_multicast_with_scratch, simulate_reduction, simulate_scatter, simulate_unicast,
+    ConcurrentReport, FaultSimReport, SimReport, TreeReport,
 };
 pub use network::{ChannelMap, RouteMemo};
 pub use params::SimParams;

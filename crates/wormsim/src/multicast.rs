@@ -8,16 +8,13 @@
 //! abstraction; contention-freedom (Definition 4) is what guarantees the
 //! self-timed execution never blocks.
 
-use crate::engine::{
-    simulate, simulate_observed, simulate_on, simulate_on_with_scratch, simulate_with_faults,
-    DepMessage, NetStats, RunResult, SimError,
-};
+use crate::engine::{run, DepMessage, NetStats, RunResult, SimError};
 use crate::faults::FaultPlan;
 use crate::params::SimParams;
-use crate::probe::Probe;
+use crate::probe::NoopProbe;
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
-use hcube::NodeId;
+use hcube::{Cube, Ecube, NodeId, Resolution, Router};
 use hypercast::collectives::ReductionSchedule;
 use hypercast::MulticastTree;
 use std::collections::HashMap;
@@ -65,6 +62,63 @@ impl SimReport {
             stats: run.stats.clone(),
         }
     }
+}
+
+/// One fault-free, unobserved [`run`] of a tree or schedule workload.
+///
+/// # Panics
+/// Never for tree and schedule workloads on a deadlock-free router
+/// (E-cube, the dateline torus): their unicasts never self-send and
+/// only depend on earlier unicasts.
+pub(crate) fn replay<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    scratch: &mut EngineScratch,
+) -> RunResult {
+    run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        &mut NoopProbe,
+        scratch,
+    )
+    .expect("schedule workloads are well formed")
+}
+
+/// [`replay`] on the E-cube router of `cube` with a fresh scratch.
+fn replay_cube(
+    cube: Cube,
+    resolution: Resolution,
+    params: &SimParams,
+    workload: &[DepMessage],
+) -> RunResult {
+    replay(
+        Ecube::new(cube, resolution),
+        params,
+        workload,
+        &mut EngineScratch::new(),
+    )
+}
+
+/// Replays `tree`'s workload on `router` and reports each
+/// destination's delivery time.
+fn replay_tree<R: Router>(
+    tree: &MulticastTree,
+    router: R,
+    params: &SimParams,
+    bytes: u32,
+    scratch: &mut EngineScratch,
+) -> SimReport {
+    let run = replay(router, params, &multicast_workload(tree, bytes), scratch);
+    let deliveries = tree
+        .unicasts
+        .iter()
+        .zip(&run.messages)
+        .map(|(u, r)| (u.dst, r.delivered))
+        .collect();
+    SimReport::from_run(deliveries, &run)
 }
 
 /// Converts a multicast tree into the engine's dependency workload: one
@@ -124,7 +178,16 @@ pub fn simulate_multicast_with_faults(
     plan: &FaultPlan,
 ) -> Result<FaultSimReport, SimError> {
     let workload = multicast_workload(tree, bytes);
-    let run = simulate_with_faults(tree.cube, tree.resolution, params, &workload, plan)?;
+    let router = Ecube::new(tree.cube, tree.resolution);
+    let mut scratch = EngineScratch::new();
+    let run = run(
+        router,
+        params,
+        &workload,
+        plan,
+        &mut NoopProbe,
+        &mut scratch,
+    )?;
     let mut deliveries = Vec::new();
     let mut lost = Vec::new();
     for (u, r) in tree.unicasts.iter().zip(&run.messages) {
@@ -161,15 +224,7 @@ pub fn simulate_multicast_with_faults(
 /// destination").
 #[must_use]
 pub fn simulate_multicast(tree: &MulticastTree, params: &SimParams, bytes: u32) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    simulate_multicast_with_scratch(tree, params, bytes, &mut EngineScratch::new())
 }
 
 /// [`simulate_multicast`] replayed through a reusable [`EngineScratch`]:
@@ -186,16 +241,13 @@ pub fn simulate_multicast_with_scratch(
     bytes: u32,
     scratch: &mut EngineScratch,
 ) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let router = hcube::Ecube::new(tree.cube, tree.resolution);
-    let run = simulate_on_with_scratch(router, params, &workload, scratch);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    replay_tree(
+        tree,
+        Ecube::new(tree.cube, tree.resolution),
+        params,
+        bytes,
+        scratch,
+    )
 }
 
 /// [`simulate_multicast`] on an E-cube router carrying `lanes` virtual
@@ -210,43 +262,8 @@ pub fn simulate_multicast_lanes(
     bytes: u32,
     lanes: u8,
 ) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let router = hcube::Ecube::with_lanes(tree.cube, tree.resolution, lanes);
-    let run = simulate_on(router, params, &workload);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
-}
-
-/// [`simulate_multicast`] with an in-loop [`Probe`] observer attached:
-/// same workload, same deterministic schedule, but every semantic event
-/// (injection, channel grant/block/release, tail drain, delivery) is
-/// reported to `probe` as it happens.
-///
-/// Pair with [`EventRecorder`](crate::probe::EventRecorder) for exact
-/// per-channel contention accounting or
-/// [`Metrics`](crate::metrics::Metrics) for aggregate counters; combine
-/// both with [`Tee`](crate::probe::Tee).
-#[must_use]
-pub fn simulate_multicast_observed<P: Probe>(
-    tree: &MulticastTree,
-    params: &SimParams,
-    bytes: u32,
-    probe: &mut P,
-) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let run = simulate_observed(tree.cube, tree.resolution, params, &workload, probe);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    let router = Ecube::with_lanes(tree.cube, tree.resolution, lanes);
+    replay_tree(tree, router, params, bytes, &mut EngineScratch::new())
 }
 
 /// Simulates a reduction schedule: every node contributes a `bytes`-byte
@@ -256,8 +273,8 @@ pub fn simulate_multicast_observed<P: Probe>(
 #[must_use]
 pub fn simulate_reduction(
     sched: &ReductionSchedule,
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
     bytes: u32,
 ) -> SimReport {
@@ -277,7 +294,7 @@ pub fn simulate_reduction(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay_cube(cube, resolution, params, &workload);
     let deliveries = sched
         .unicasts
         .iter()
@@ -371,7 +388,7 @@ pub fn simulate_concurrent_multicasts(
         }
         ranges.push(base..workload.len());
     }
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay_cube(cube, resolution, params, &workload);
     let per_tree = trees
         .iter()
         .zip(ranges)
@@ -443,7 +460,7 @@ pub fn simulate_scatter(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
+    let run = replay_cube(tree.cube, tree.resolution, params, &workload);
     let deliveries = tree
         .unicasts
         .iter()
@@ -458,8 +475,8 @@ pub fn simulate_scatter(
 #[must_use]
 pub fn simulate_gather(
     sched: &hypercast::collectives::GatherSchedule,
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
 ) -> SimReport {
     let mut inbound: HashMap<NodeId, Vec<usize>> = HashMap::new();
@@ -479,7 +496,7 @@ pub fn simulate_gather(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay_cube(cube, resolution, params, &workload);
     let deliveries = sched
         .unicasts
         .iter()
@@ -532,7 +549,7 @@ pub fn simulate_chunked_multicast(
             });
         }
     }
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
+    let run = replay_cube(tree.cube, tree.resolution, params, &workload);
     // Per destination: the max over its chunks.
     let deliveries: Vec<(NodeId, SimTime)> = tree
         .unicasts
@@ -554,14 +571,14 @@ pub fn simulate_chunked_multicast(
 /// engine to the closed-form model).
 #[must_use]
 pub fn simulate_unicast(
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
     src: NodeId,
     dst: NodeId,
     bytes: u32,
 ) -> SimTime {
-    let run = simulate(
+    let run = replay_cube(
         cube,
         resolution,
         params,

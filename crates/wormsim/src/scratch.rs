@@ -1,11 +1,9 @@
 //! Reusable engine arenas: run many workloads without reallocating.
 //!
-//! Every `simulate*` entry point ultimately runs through an
-//! [`EngineScratch`]: the fresh-allocation entry points create one on
-//! the spot, while the `*_with_scratch` variants
-//! ([`simulate_on_with_scratch`](crate::engine::simulate_on_with_scratch),
-//! [`simulate_window_on_with_scratch`](crate::engine::simulate_window_on_with_scratch),
-//! …) accept a caller-owned scratch and *reset* it instead — the event
+//! Every engine [`run`](crate::engine::run) borrows an
+//! [`EngineScratch`]: a one-off run passes a fresh one, while hot
+//! loops pass the same scratch again and again, and the engine
+//! *resets* it instead of reallocating — the event
 //! heap, message table, channel arbitration table, dead-channel flags,
 //! CPU-serialization clocks, and the failure-cascade stack all keep
 //! their allocations between runs, and the embedded
@@ -38,15 +36,18 @@ use crate::time::SimTime;
 /// ```
 /// use hcube::{Cube, Ecube, NodeId, Resolution};
 /// use hypercast::PortModel;
-/// use wormsim::{simulate_on_with_scratch, DepMessage, EngineScratch, SimParams, SimTime};
+/// use wormsim::{DepMessage, EngineScratch, FaultPlan, NoopProbe, SimParams, SimTime};
 ///
 /// let router = Ecube::new(Cube::of(4), Resolution::HighToLow);
 /// let params = SimParams::ncube2(PortModel::AllPort);
 /// let w = [DepMessage { src: NodeId(0), dst: NodeId(5), bytes: 256,
 ///                       deps: vec![], min_start: SimTime::ZERO }];
 /// let mut scratch = EngineScratch::new();
-/// let first = simulate_on_with_scratch(router, &params, &w, &mut scratch);
-/// let again = simulate_on_with_scratch(router, &params, &w, &mut scratch);
+/// let replay = |scratch: &mut EngineScratch| {
+///     wormsim::run(router, &params, &w, &FaultPlan::none(), &mut NoopProbe, scratch).unwrap()
+/// };
+/// let first = replay(&mut scratch);
+/// let again = replay(&mut scratch);
 /// assert_eq!(first.messages, again.messages); // byte-identical replay
 /// assert!(scratch.route_memo().hits() > 0);   // routes were reused
 /// ```

@@ -12,12 +12,29 @@
 //! must never produce [`SimError::Deadlock`] — faults may abort
 //! individual worms (`Failed`), never wedge the network.
 
-use hcube::{Mesh, MeshXY, MinimalAdaptive, NodeId};
+use hcube::{Mesh, MeshXY, MinimalAdaptive, NodeId, Router};
 use hypercast::PortModel;
 use proptest::prelude::*;
 use wormsim::{
-    simulate_on, simulate_with_faults_on, DepMessage, FaultPlan, SimError, SimParams, SimTime,
+    DepMessage, EngineScratch, FaultPlan, NoopProbe, RunResult, SimError, SimParams, SimTime,
 };
+
+/// An unobserved [`wormsim::run`] on a fresh scratch.
+fn sim<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    plan: &FaultPlan,
+) -> Result<RunResult, SimError> {
+    wormsim::run(
+        router,
+        params,
+        workload,
+        plan,
+        &mut NoopProbe,
+        &mut EngineScratch::new(),
+    )
+}
 
 fn msg(src: NodeId, dst: NodeId, bytes: u32) -> DepMessage {
     DepMessage {
@@ -59,11 +76,13 @@ proptest! {
             .iter()
             .map(|&(s, d)| msg(NodeId(s), NodeId(d), bytes))
             .collect();
-        let run = simulate_on(MinimalAdaptive::with_lanes(mesh, lanes), &params, &workload);
+        let run = sim(MinimalAdaptive::with_lanes(mesh, lanes), &params, &workload, &FaultPlan::none())
+            .expect("minimal adaptive routing cannot deadlock");
         prop_assert_eq!(run.delivered_count(), workload.len());
         // The deterministic XY baseline drains the same workload (same
         // delivery set; timings may differ).
-        let xy = simulate_on(MeshXY::with_lanes(mesh, lanes), &params, &workload);
+        let xy = sim(MeshXY::with_lanes(mesh, lanes), &params, &workload, &FaultPlan::none())
+            .expect("XY routing cannot deadlock");
         prop_assert_eq!(xy.delivered_count(), workload.len());
     }
 
@@ -99,7 +118,7 @@ proptest! {
             plan.fail_lane(v, hcube::Dim(0), (seed % u64::from(lanes)) as u8);
         }
         let router = MinimalAdaptive::with_lanes(mesh, lanes);
-        match simulate_with_faults_on(router, &params, &workload, &plan) {
+        match sim(router, &params, &workload, &plan) {
             Ok(run) => {
                 // Every message either delivered or was aborted by the
                 // plan — nothing is left in limbo.
@@ -133,7 +152,13 @@ fn single_lane_all_to_all_drains() {
                 .map(move |d| msg(s, d, 1024))
         })
         .collect();
-    let run = simulate_on(MinimalAdaptive::new(mesh), &params, &workload);
+    let run = sim(
+        MinimalAdaptive::new(mesh),
+        &params,
+        &workload,
+        &FaultPlan::none(),
+    )
+    .expect("minimal adaptive routing cannot deadlock");
     assert_eq!(run.delivered_count(), workload.len());
     assert!(run.stats.blocks > 0, "all-to-all must actually contend");
 }

@@ -14,9 +14,9 @@
 //! tests pin the neighbouring invariants (hand-off chains, scratch
 //! replay of the same scenario).
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_on_with_scratch, DepMessage, EngineScratch, SimParams, SimTime};
+use wormsim::{DepMessage, EngineScratch, FaultPlan, NoopProbe, RunResult, SimParams, SimTime};
 
 fn msg(src: u32, dst: u32, bytes: u32, min_start: u64) -> DepMessage {
     DepMessage {
@@ -26,6 +26,20 @@ fn msg(src: u32, dst: u32, bytes: u32, min_start: u64) -> DepMessage {
         deps: vec![],
         min_start: SimTime::from_ns(min_start),
     }
+}
+
+/// A fault-free, unobserved [`wormsim::run`] on the E-cube 2-cube.
+fn sim(params: &SimParams, workload: &[DepMessage], scratch: &mut EngineScratch) -> RunResult {
+    let router = Ecube::new(Cube::of(2), Resolution::HighToLow);
+    wormsim::run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        &mut NoopProbe,
+        scratch,
+    )
+    .expect("the workload is well formed")
 }
 
 /// The steal construction, on a 2-cube with ideal parameters
@@ -50,7 +64,7 @@ fn msg(src: u32, dst: u32, bytes: u32, min_start: u64) -> DepMessage {
 fn fifo_waiter_is_not_stolen_by_a_same_time_arrival() {
     let params = SimParams::ideal(PortModel::AllPort);
     let workload = [msg(0, 1, 10, 0), msg(0, 1, 10, 1), msg(0, 1, 10, 11)];
-    let run = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
+    let run = sim(&params, &workload, &mut EngineScratch::new());
 
     let a = &run.messages[0];
     let b = &run.messages[1];
@@ -87,7 +101,7 @@ fn handoff_chain_preserves_arrival_order() {
         msg(0, 1, 10, 2),
         msg(0, 1, 10, 5),
     ];
-    let run = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
+    let run = sim(&params, &workload, &mut EngineScratch::new());
     // Holder delivers at 11; then waiters in arrival order 2, 1, 3 at
     // 22, 33, 44.
     assert_eq!(run.messages[0].delivered, SimTime::from_ns(11));
@@ -103,11 +117,10 @@ fn handoff_chain_preserves_arrival_order() {
 fn handoff_semantics_survive_scratch_reuse() {
     let params = SimParams::ideal(PortModel::AllPort);
     let workload = [msg(0, 1, 10, 0), msg(0, 1, 10, 1), msg(0, 1, 10, 11)];
-    let fresh = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
-    let router = hcube::Ecube::new(Cube::of(2), Resolution::HighToLow);
+    let fresh = sim(&params, &workload, &mut EngineScratch::new());
     let mut scratch = EngineScratch::new();
     for _ in 0..3 {
-        let again = simulate_on_with_scratch(router, &params, &workload, &mut scratch);
+        let again = sim(&params, &workload, &mut scratch);
         assert_eq!(fresh.messages, again.messages);
         assert_eq!(fresh.stats, again.stats);
     }

@@ -6,9 +6,12 @@
 //! cargo run -p bench --release --example simulator_tour
 //! ```
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_unicast, DepMessage, SimParams, SimTime};
+use wormsim::{
+    simulate_unicast, DepMessage, EngineScratch, FaultPlan, NoopProbe, RunResult, SimParams,
+    SimTime,
+};
 
 fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
     DepMessage {
@@ -18,6 +21,21 @@ fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
         deps,
         min_start: SimTime::ZERO,
     }
+}
+
+/// One fault-free, unobserved engine run on the E-cube router.
+fn simulate(cube: Cube, res: Resolution, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    let router = Ecube::new(cube, res);
+    let mut scratch = EngineScratch::new();
+    wormsim::run(
+        router,
+        params,
+        workload,
+        &FaultPlan::none(),
+        &mut NoopProbe,
+        &mut scratch,
+    )
+    .expect("the tour's workloads are well formed")
 }
 
 fn main() {

@@ -8,7 +8,7 @@ use hypercast::{Algorithm, PortModel};
 use workloads::json::{parse, Value};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, simulate_observed_on, DepMessage, EventRecorder, Metrics, SimParams,
+    multicast_workload, DepMessage, EngineScratch, EventRecorder, FaultPlan, Metrics, SimParams,
     SimTime, Tee,
 };
 
@@ -29,12 +29,15 @@ fn observed_run() -> (String, wormsim::MetricsRegistry) {
         .unwrap();
     let router = Ecube::new(cube, Resolution::HighToLow);
     let mut probe = Tee(EventRecorder::new(), Metrics::new());
-    let _run = simulate_observed_on(
+    wormsim::run(
         router,
         &params,
         &multicast_workload(&tree, 4096),
+        &FaultPlan::none(),
         &mut probe,
-    );
+        &mut EngineScratch::new(),
+    )
+    .expect("a tree workload is well formed");
     let map = ChannelMap::new(router);
     (probe.0.to_chrome_trace(&map), probe.1.snapshot())
 }
@@ -134,7 +137,15 @@ fn perfetto_trace_works_on_the_torus_backend() {
         })
         .collect();
     let mut rec = EventRecorder::new();
-    let _ = simulate_observed_on(router, &params, &workload, &mut rec);
+    wormsim::run(
+        router,
+        &params,
+        &workload,
+        &FaultPlan::none(),
+        &mut rec,
+        &mut EngineScratch::new(),
+    )
+    .expect("dateline channels keep the torus deadlock-free");
     let map = ChannelMap::new(router);
     let doc = parse(&rec.to_chrome_trace(&map)).expect("torus trace parses");
     let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
