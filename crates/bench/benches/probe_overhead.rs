@@ -8,15 +8,16 @@
 //! - `metrics` — counter/histogram registry,
 //! - `telemetry_probe` — the traffic flight recorder's blocking-interval
 //!   sink ([`traffic::TelemetryProbe`]),
-//! - `telemetry_full` — an entire observed traffic run with span +
-//!   time-series assembly vs `traffic_plain`, the same run unobserved
+//! - `telemetry_full` — an entire observed traffic run
+//!   ([`traffic::run_with_telemetry`]: span + time-series assembly) vs
+//!   `traffic_plain`, the same run unobserved through [`traffic::run`]
 //!   (the telemetry layer's end-to-end cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::{Algorithm, PortModel};
 use traffic::{
-    ArrivalProcess, Arrivals, DestPattern, TelemetryConfig, TelemetryProbe, TrafficSpec,
+    ArrivalProcess, Arrivals, CubeTrees, DestPattern, TelemetryConfig, TelemetryProbe, TrafficSpec,
 };
 use wormsim::{
     multicast_workload, DepMessage, EngineScratch, EventRecorder, FaultPlan, Metrics, NoopProbe,
@@ -102,32 +103,27 @@ fn traffic_spec() -> TrafficSpec {
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    let cube = Cube::of(5);
     let params = SimParams::ncube2(PortModel::AllPort);
+    let wsort = CubeTrees::new(Cube::of(5), Resolution::HighToLow, Algorithm::WSort);
     let spec = traffic_spec();
     let cfg = TelemetryConfig::default();
     let mut g = c.benchmark_group("telemetry_overhead");
 
     g.bench_function("traffic_plain", |b| {
         b.iter(|| {
-            std::hint::black_box(traffic::run_cube(
-                &spec,
-                cube,
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-            ))
+            let mut scratch = EngineScratch::new();
+            std::hint::black_box(traffic::run(&spec, &wsort, &params, &mut scratch))
         })
     });
     g.bench_function("telemetry_full", |b| {
         b.iter(|| {
-            std::hint::black_box(traffic::run_cube_with_telemetry(
+            let mut scratch = EngineScratch::new();
+            std::hint::black_box(traffic::run_with_telemetry(
                 &spec,
-                cube,
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                &wsort,
                 &params,
                 &cfg,
+                &mut scratch,
             ))
         })
     });

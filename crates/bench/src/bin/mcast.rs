@@ -26,17 +26,13 @@ use hcube::{
     Cube, Dim, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Router, Topology, Torus,
     TorusRouter,
 };
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
-    reduce_scatter_separate,
-};
 use hypercast::contention::contention_witnesses;
 use hypercast::oracle::verify_collective;
 use hypercast::repair::{repair, NetworkFaults};
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
 use traffic::{
-    ArrivalProcess, ChaosReport, ChaosSpec, DestPattern, Telemetry, TelemetryConfig, TrafficReport,
-    TrafficSpec,
+    ArrivalProcess, ChaosReport, CubeCollective, CubeTrees, DestPattern, Multicast, Separate,
+    SeparateCollective, Telemetry, TelemetryConfig, TrafficReport, TrafficSpec,
 };
 use wormsim::network::ChannelMap;
 use wormsim::{
@@ -72,8 +68,8 @@ struct Args {
     algo: Option<Algorithm>,
     port: PortModel,
     source: u32,
-    dests: Vec<u32>,
-    random: Option<usize>,
+    dests: Option<Vec<u64>>,
+    random: Option<u64>,
     seed: u64,
     bytes: u32,
     trace: bool,
@@ -93,6 +89,18 @@ struct Args {
     backoff_us: u64,
 }
 
+impl Args {
+    /// Whether any fault injection flag was given.
+    fn fault_flags(&self) -> bool {
+        self.faults > 0 || !self.fail_links.is_empty() || !self.fail_nodes.is_empty()
+    }
+
+    /// Whether any single-shot trace flag was given.
+    fn trace_flags(&self) -> bool {
+        self.trace || self.trace_out.is_some() || self.metrics_out.is_some()
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         n: 6,
@@ -107,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
         algo: None,
         port: PortModel::AllPort,
         source: 0,
-        dests: Vec::new(),
+        dests: None,
         random: None,
         seed: 1,
         bytes: 4096,
@@ -211,10 +219,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--source: {e}"))?
             }
             "--dests" => {
-                args.dests = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("--dests: {e}")))
-                    .collect::<Result<_, _>>()?;
+                args.dests = Some(
+                    take(&mut i)?
+                        .split(',')
+                        .map(|s| s.trim().parse().map_err(|e| format!("--dests: {e}")))
+                        .collect::<Result<_, _>>()?,
+                );
             }
             "--random" => {
                 args.random = Some(
@@ -426,6 +436,38 @@ fn stats_line(stats: &NetStats) -> String {
     )
 }
 
+/// Prints `error: <message>` and exits 2: the one way `mcast` refuses
+/// its input.
+fn usage(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// Unwraps a usage-level result, or refuses the input with its error.
+fn or_usage<T>(result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| usage(e))
+}
+
+/// The run's `--dests`/`--random` side, checked against a `nodes`-node
+/// topology by the check serve requests go through too.
+fn dest_pattern(args: &Args, nodes: usize) -> DestPattern {
+    or_usage(workloads::serve::dest_pattern(
+        args.source,
+        args.dests.as_deref(),
+        args.random,
+        nodes,
+        usize::MAX,
+        |flag| format!("--{flag}"),
+    ))
+}
+
+/// The destinations of a single-shot run on `topo`: the checked
+/// `--dests`, or `--random` M drawn from the `--seed` stream.
+fn single_shot_dests<T: Topology>(args: &Args, topo: &T) -> Vec<NodeId> {
+    let pattern = dest_pattern(args, topo.node_count());
+    workloads::serve::single_shot_dests(pattern, topo, NodeId(args.source), args.seed)
+}
+
 /// A fault-free engine run of `workload` observed by `probe`.
 ///
 /// # Panics
@@ -514,41 +556,13 @@ fn write_artifact(path: &str, contents: &str, flag: &str) {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("error: {flag} {path}: {e}");
-                std::process::exit(2);
+                usage(format!("{flag} {path}: {e}"));
             }
         }
     }
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: {flag} {path}: {e}");
-        std::process::exit(2);
+        usage(format!("{flag} {path}: {e}"));
     }
-}
-
-/// Validates the source and assembles the destination set for a
-/// separate-addressing backend (torus or mesh).
-fn separate_dests<T: Topology>(args: &Args, topo: &T, what: &str) -> Vec<NodeId> {
-    let source = NodeId(args.source);
-    if !topo.contains(source) {
-        eprintln!("error: --source {} outside the {what}", args.source);
-        std::process::exit(2);
-    }
-    let dests: Vec<NodeId> = if let Some(m) = args.random {
-        let mut rng = workloads::destsets::trial_rng("mcast-cli", 0, args.seed as usize);
-        workloads::destsets::random_dests_on(&mut rng, topo, source, m)
-    } else if args.dests.is_empty() {
-        eprintln!("error: provide --dests or --random (try --help)");
-        std::process::exit(2);
-    } else {
-        args.dests.iter().copied().map(NodeId).collect()
-    };
-    for &d in &dests {
-        if !topo.contains(d) || d == source {
-            eprintln!("error: destination {} invalid for this {what}", d.0);
-            std::process::exit(2);
-        }
-    }
-    dests
 }
 
 /// Simulates one-unicast-per-destination separate addressing on `router`
@@ -635,30 +649,18 @@ fn run_separate<R: Router + Copy>(router: R, args: &Args, dests: &[NodeId], json
 
 /// Separate-addressing multicast on the k-ary n-cube torus backend.
 fn run_torus(args: &Args) {
-    if args.faults > 0 || !args.fail_links.is_empty() || !args.fail_nodes.is_empty() {
-        eprintln!("error: fault injection/repair flags are hypercube-only");
-        std::process::exit(2);
-    }
     if args.router == RouterKind::Adaptive {
-        eprintln!("error: --router adaptive is mesh-only (the torus routes dimension-ordered)");
-        std::process::exit(2);
+        usage("--router adaptive is mesh-only (the torus routes dimension-ordered)");
     }
-    let torus = match Torus::new(args.arity, args.n) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let torus = or_usage(Torus::new(args.arity, args.n));
     let router = match args.lanes {
         None => TorusRouter::new(torus),
         Some(l) if l >= 2 && l % 2 == 0 => TorusRouter::with_lane_multiplier(torus, l / 2),
-        Some(l) => {
-            eprintln!("error: --lanes {l}: torus lanes come in dateline pairs (use an even N)");
-            std::process::exit(2);
-        }
+        Some(l) => usage(format!(
+            "--lanes {l}: torus lanes come in dateline pairs (use an even N)"
+        )),
     };
-    let dests = separate_dests(args, &torus, &format!("{}-ary {}-cube", args.arity, args.n));
+    let dests = single_shot_dests(args, &torus);
     println!(
         "{}-ary {}-cube torus | {} | source {} | {} destinations | {} bytes\n",
         args.arity,
@@ -678,22 +680,12 @@ fn run_torus(args: &Args) {
 /// Separate-addressing multicast on the 2D mesh backend, under XY or
 /// west-first minimal-adaptive routing.
 fn run_mesh(args: &Args) {
-    if args.faults > 0 || !args.fail_links.is_empty() || !args.fail_nodes.is_empty() {
-        eprintln!("error: fault injection/repair flags are hypercube-only");
-        std::process::exit(2);
-    }
-    let mesh = match Mesh::new(args.width, args.height) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mesh = or_usage(Mesh::new(args.width, args.height));
     let lanes = args.lanes.unwrap_or(1);
-    let dests = separate_dests(args, &mesh, &format!("{}x{} mesh", args.width, args.height));
-    let router_name = match args.router {
-        RouterKind::Ecube => "xy",
-        RouterKind::Adaptive => "west-first adaptive",
+    let dests = single_shot_dests(args, &mesh);
+    let (router_name, router_key) = match args.router {
+        RouterKind::Ecube => ("xy", "ecube"),
+        RouterKind::Adaptive => ("west-first adaptive", "adaptive"),
     };
     println!(
         "{}x{} mesh | {router_name} | {} | source {} | {} destinations | {} bytes\n",
@@ -705,13 +697,8 @@ fn run_mesh(args: &Args) {
         args.bytes
     );
     let json_head = format!(
-        "\"topology\":\"mesh\",\"width\":{},\"height\":{},\"router\":\"{}\"",
-        args.width,
-        args.height,
-        match args.router {
-            RouterKind::Ecube => "ecube",
-            RouterKind::Adaptive => "adaptive",
-        }
+        "\"topology\":\"mesh\",\"width\":{},\"height\":{},\"router\":\"{router_key}\"",
+        args.width, args.height,
     );
     match args.router {
         RouterKind::Ecube => {
@@ -784,34 +771,16 @@ fn report_collective(
 /// `--collective KIND` without `--load`: build, oracle-verify, and
 /// replay one full-machine collective on the idle network.
 fn run_collective(args: &Args, kind: CollectiveKind) {
-    if args.faults > 0
-        || !args.fail_links.is_empty()
-        || !args.fail_nodes.is_empty()
-        || args.trace
-        || args.trace_out.is_some()
-        || args.metrics_out.is_some()
-        || args.lanes.is_some()
-    {
-        eprintln!("error: --collective is incompatible with fault, trace, and lane flags");
-        std::process::exit(2);
+    if args.fault_flags() || args.trace_flags() || args.lanes.is_some() {
+        usage("--collective is incompatible with fault, trace, and lane flags");
     }
     let params = SimParams::ncube2(args.port);
     match args.topology {
-        TopologyKind::Mesh => {
-            eprintln!("error: --collective supports cube and torus backends");
-            std::process::exit(2);
-        }
+        TopologyKind::Mesh => usage("--collective supports cube and torus backends"),
         TopologyKind::Torus => {
-            let torus = match Torus::new(args.arity, args.n) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let torus = or_usage(Torus::new(args.arity, args.n));
             if args.source >= torus.node_count() as u32 {
-                eprintln!("error: --source {} outside the torus", args.source);
-                std::process::exit(2);
+                usage(format!("--source {} outside the torus", args.source));
             }
             println!(
                 "{}-ary {}-cube torus | {} | {} | block {} bytes\n",
@@ -821,30 +790,17 @@ fn run_collective(args: &Args, kind: CollectiveKind) {
                 kind.name(),
                 args.bytes
             );
-            let sched = match kind {
-                CollectiveKind::Allgather => allgather_separate(&torus, args.bytes),
-                CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, args.bytes),
-                CollectiveKind::Allreduce => {
-                    allreduce_separate(&torus, NodeId(args.source), args.bytes)
-                }
-            };
+            let sched = kind.build_separate(&torus, NodeId(args.source), args.bytes);
             let report = wormsim::simulate_collective_on(&sched, TorusRouter::new(torus), &params);
             report_collective("Separate", &sched, &report, args.json);
         }
         TopologyKind::Cube => {
-            let cube = match Cube::new(args.n) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let cube = or_usage(Cube::new(args.n));
             if args.source >= cube.node_count() as u32 {
-                eprintln!(
-                    "error: --source {} outside the {}-cube",
+                usage(format!(
+                    "--source {} outside the {}-cube",
                     args.source, args.n
-                );
-                std::process::exit(2);
+                ));
             }
             println!(
                 "{}-cube | {} | {} | block {} bytes\n",
@@ -854,59 +810,14 @@ fn run_collective(args: &Args, kind: CollectiveKind) {
                 args.bytes
             );
             for family in collective_families(args) {
-                let built = match kind {
-                    CollectiveKind::Allgather => allgather(
-                        family,
-                        cube,
-                        Resolution::HighToLow,
-                        args.port,
-                        args.bytes,
-                        None,
-                    ),
-                    CollectiveKind::ReduceScatter => reduce_scatter(
-                        family,
-                        cube,
-                        Resolution::HighToLow,
-                        args.port,
-                        args.bytes,
-                        None,
-                    ),
-                    CollectiveKind::Allreduce => allreduce(
-                        family,
-                        cube,
-                        Resolution::HighToLow,
-                        args.port,
-                        NodeId(args.source),
-                        args.bytes,
-                        None,
-                    ),
-                };
-                let sched = match built {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                };
+                let root = NodeId(args.source);
+                let res = Resolution::HighToLow;
+                let built = kind.build(family, cube, res, args.port, root, args.bytes, None);
+                let sched = or_usage(built);
                 let report =
                     wormsim::simulate_collective(&sched, cube, Resolution::HighToLow, &params);
                 report_collective(family.name(), &sched, &report, args.json);
             }
-        }
-    }
-}
-
-/// Builds the per-session destination pattern of an open-loop run:
-/// explicit `--dests` fixes the group (every session replays it; the
-/// tree cache turns repeats into pointer hits), `--random M` draws a
-/// fresh uniform group per session.
-fn traffic_pattern(args: &Args, source: NodeId) -> DestPattern {
-    if let Some(m) = args.random {
-        DestPattern::UniformRandom { m }
-    } else {
-        DestPattern::Fixed {
-            source,
-            dests: args.dests.iter().copied().map(NodeId).collect(),
         }
     }
 }
@@ -943,13 +854,6 @@ fn print_traffic_report(label: &str, r: &TrafficReport, json: bool) {
     if json {
         println!("{}", workloads::serve::traffic_report_json(label, r, None));
     }
-}
-
-/// Wraps the open-loop spec with the `--chaos` churn process and the
-/// retry policy (the conventions live in [`workloads::serve`], shared
-/// with the service mode).
-fn chaos_spec(args: &Args, traffic: TrafficSpec, mtbf_ms: f64, mttr_ms: f64) -> ChaosSpec {
-    workloads::serve::chaos_wrap(traffic, mtbf_ms, mttr_ms, args.retries, args.backoff_us)
 }
 
 fn print_chaos_report(label: &str, r: &ChaosReport, json: bool) {
@@ -1004,34 +908,20 @@ fn print_chaos_report(label: &str, r: &ChaosReport, json: bool) {
 /// irrelevant; allreduce roots rotate round-robin across sessions).
 fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
     if args.chaos.is_some() {
-        eprintln!("error: collective traffic does not support --chaos");
-        std::process::exit(2);
+        usage("collective traffic does not support --chaos");
     }
     if args.spans_out.is_some() || args.timeseries_out.is_some() {
-        eprintln!("error: collective traffic does not support the flight recorder");
-        std::process::exit(2);
-    }
-    if args.lanes.is_some() {
-        eprintln!("error: --lanes applies to single-shot runs (drop --load)");
-        std::process::exit(2);
+        usage("collective traffic does not support the flight recorder");
     }
     let params = SimParams::ncube2(args.port);
     // Collective sessions span the whole machine: the pattern slot of
     // the spec is unused but the engine needs one.
-    let pattern = DestPattern::UniformRandom { m: 1 };
+    let spec = traffic_spec(args, rate, DestPattern::UniformRandom { m: 1 });
+    let mut scratch = EngineScratch::new();
     match args.topology {
-        TopologyKind::Mesh => {
-            eprintln!("error: --collective supports cube and torus backends");
-            std::process::exit(2);
-        }
+        TopologyKind::Mesh => usage("--collective supports cube and torus backends"),
         TopologyKind::Torus => {
-            let torus = match Torus::new(args.arity, args.n) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let torus = or_usage(Torus::new(args.arity, args.n));
             println!(
                 "{}-ary {}-cube torus | {} | open loop {}: {} arrivals at {} sessions/ms | block {} bytes\n",
                 args.arity,
@@ -1042,19 +932,17 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
                 rate,
                 args.bytes
             );
-            let spec = traffic_spec(args, rate, pattern);
-            let r =
-                traffic::run_collective_separate_on(&spec, TorusRouter::new(torus), kind, &params);
+            let router = TorusRouter::new(torus);
+            let r = traffic::run(
+                &spec,
+                &SeparateCollective { router, kind },
+                &params,
+                &mut scratch,
+            );
             print_traffic_report("Separate", &r, args.json);
         }
         TopologyKind::Cube => {
-            let cube = match Cube::new(args.n) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let cube = or_usage(Cube::new(args.n));
             println!(
                 "{}-cube | {} | open loop {}: {} arrivals at {} sessions/ms | block {} bytes\n",
                 args.n,
@@ -1065,62 +953,70 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
                 args.bytes
             );
             for family in collective_families(args) {
-                let spec = traffic_spec(args, rate, pattern.clone());
-                let r = traffic::run_collective_cube(
-                    &spec,
+                let source = CubeCollective {
                     cube,
-                    Resolution::HighToLow,
+                    resolution: Resolution::HighToLow,
                     kind,
                     family,
-                    &params,
-                );
+                };
+                let r = traffic::run(&spec, &source, &params, &mut scratch);
                 print_traffic_report(family.name(), &r, args.json);
             }
         }
     }
 }
 
+/// Runs open-loop traffic from a multicast `source` — plain or under
+/// `--chaos` (the churn and retry conventions of [`workloads::serve`]),
+/// with or without the flight recorder — and prints its report under
+/// `label`.
+fn report_traffic<S: Multicast>(args: &Args, label: &str, spec: TrafficSpec, source: &S) {
+    let params = SimParams::ncube2(args.port);
+    let recorder =
+        (args.spans_out.is_some() || args.timeseries_out.is_some()).then(TelemetryConfig::default);
+    let scratch = &mut EngineScratch::new();
+    if let Some((mtbf, mttr)) = args.chaos {
+        let spec = workloads::serve::chaos_wrap(spec, mtbf, mttr, args.retries, args.backoff_us);
+        let (r, tel) = match recorder {
+            None => (traffic::run_chaos(&spec, source, &params, scratch), None),
+            Some(cfg) => {
+                let (r, tel) =
+                    traffic::run_chaos_with_telemetry(&spec, source, &params, &cfg, scratch);
+                (r, Some(tel))
+            }
+        };
+        print_chaos_report(label, &r, args.json);
+        tel.inspect(|tel| write_telemetry(args, tel));
+    } else {
+        let (r, tel) = match recorder {
+            None => (traffic::run(&spec, source, &params, scratch), None),
+            Some(cfg) => {
+                let (r, tel) = traffic::run_with_telemetry(&spec, source, &params, &cfg, scratch);
+                (r, Some(tel))
+            }
+        };
+        print_traffic_report(label, &r, args.json);
+        tel.inspect(|tel| write_telemetry(args, tel));
+    }
+}
+
 /// `--load R`: open-loop steady-state traffic instead of a single shot.
 fn run_traffic(args: &Args, rate: f64) {
-    if args.faults > 0
-        || !args.fail_links.is_empty()
-        || !args.fail_nodes.is_empty()
-        || args.trace
-        || args.trace_out.is_some()
-        || args.metrics_out.is_some()
-    {
-        eprintln!("error: --load is incompatible with fault and trace flags");
-        std::process::exit(2);
+    if args.fault_flags() || args.trace_flags() {
+        usage("--load is incompatible with fault and trace flags");
+    }
+    if args.lanes.is_some() {
+        usage("--lanes applies to single-shot runs (drop --load)");
     }
     if let Some(kind) = args.collective {
         run_collective_traffic(args, rate, kind);
         return;
     }
-    if args.random.is_none() && args.dests.is_empty() {
-        eprintln!("error: provide --dests or --random (try --help)");
-        std::process::exit(2);
-    }
-    if args.lanes.is_some() {
-        eprintln!("error: --lanes applies to single-shot runs (drop --load)");
-        std::process::exit(2);
-    }
-    let telemetry = args.spans_out.is_some() || args.timeseries_out.is_some();
-    let tcfg = TelemetryConfig::default();
-    let params = SimParams::ncube2(args.port);
     match args.topology {
-        TopologyKind::Mesh => {
-            eprintln!("error: --load supports cube and torus backends");
-            std::process::exit(2);
-        }
+        TopologyKind::Mesh => usage("--load supports cube and torus backends"),
         TopologyKind::Torus => {
-            let torus = match Torus::new(args.arity, args.n) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let spec = traffic_spec(args, rate, traffic_pattern(args, NodeId(args.source)));
+            let torus = or_usage(Torus::new(args.arity, args.n));
+            let spec = traffic_spec(args, rate, dest_pattern(args, torus.node_count()));
             println!(
                 "{}-ary {}-cube torus | {} | open loop: {} arrivals at {} sessions/ms | {} bytes\n",
                 args.arity,
@@ -1130,47 +1026,15 @@ fn run_traffic(args: &Args, rate: f64) {
                 rate,
                 args.bytes
             );
-            if let Some((mtbf, mttr)) = args.chaos {
-                let spec = chaos_spec(args, spec, mtbf, mttr);
-                if telemetry {
-                    let (r, tel) = traffic::run_chaos_separate_with_telemetry_on(
-                        &spec,
-                        TorusRouter::new(torus),
-                        &params,
-                        &tcfg,
-                    );
-                    print_chaos_report("Separate", &r, args.json);
-                    write_telemetry(args, &tel);
-                } else {
-                    let r = traffic::run_chaos_separate_on(&spec, TorusRouter::new(torus), &params);
-                    print_chaos_report("Separate", &r, args.json);
-                }
-            } else if telemetry {
-                let (r, tel) = traffic::run_separate_with_telemetry_on(
-                    &spec,
-                    TorusRouter::new(torus),
-                    &params,
-                    &tcfg,
-                );
-                print_traffic_report("Separate", &r, args.json);
-                write_telemetry(args, &tel);
-            } else {
-                let r = traffic::run_separate_on(&spec, TorusRouter::new(torus), &params);
-                print_traffic_report("Separate", &r, args.json);
-            }
+            report_traffic(args, "Separate", spec, &Separate(TorusRouter::new(torus)));
         }
         TopologyKind::Cube => {
-            let cube = match Cube::new(args.n) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if telemetry && args.algo.is_none() {
-                eprintln!("error: --spans-out/--timeseries-out need a single --algo (not `all`)");
-                std::process::exit(2);
+            let cube = or_usage(Cube::new(args.n));
+            let recorder = args.spans_out.is_some() || args.timeseries_out.is_some();
+            if recorder && args.algo.is_none() {
+                usage("--spans-out/--timeseries-out need a single --algo (not `all`)");
             }
+            let pattern = dest_pattern(args, cube.node_count());
             let algos: Vec<Algorithm> = match args.algo {
                 Some(a) => vec![a],
                 None => Algorithm::PAPER.to_vec(),
@@ -1183,47 +1047,10 @@ fn run_traffic(args: &Args, rate: f64) {
                 rate,
                 args.bytes
             );
-            let pattern = traffic_pattern(args, NodeId(args.source));
             for algo in algos {
                 let spec = traffic_spec(args, rate, pattern.clone());
-                if let Some((mtbf, mttr)) = args.chaos {
-                    let spec = chaos_spec(args, spec, mtbf, mttr);
-                    if telemetry {
-                        let (r, tel) = traffic::run_chaos_cube_with_telemetry(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            &tcfg,
-                        );
-                        print_chaos_report(algo.name(), &r, args.json);
-                        write_telemetry(args, &tel);
-                    } else {
-                        let r = traffic::run_chaos_cube(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                        );
-                        print_chaos_report(algo.name(), &r, args.json);
-                    }
-                } else if telemetry {
-                    let (r, tel) = traffic::run_cube_with_telemetry(
-                        &spec,
-                        cube,
-                        Resolution::HighToLow,
-                        algo,
-                        &params,
-                        &tcfg,
-                    );
-                    print_traffic_report(algo.name(), &r, args.json);
-                    write_telemetry(args, &tel);
-                } else {
-                    let r = traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params);
-                    print_traffic_report(algo.name(), &r, args.json);
-                }
+                let trees = CubeTrees::new(cube, Resolution::HighToLow, algo);
+                report_traffic(args, algo.name(), spec, &trees);
             }
         }
     }
@@ -1238,32 +1065,28 @@ fn run_serve(flags: &[String]) {
     while i < flags.len() {
         let take = |i: &mut usize| -> &str {
             *i += 1;
-            flags.get(*i).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("error: missing value for {}", flags[*i - 1]);
-                std::process::exit(2);
-            })
+            flags
+                .get(*i)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage(format!("missing value for {}", flags[*i - 1])))
         };
         match flags[i].as_str() {
             "--max-inflight" => {
-                opts.max_inflight = take(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("error: --max-inflight: {e}");
-                    std::process::exit(2);
-                });
+                opts.max_inflight = take(&mut i)
+                    .parse()
+                    .unwrap_or_else(|e| usage(format!("--max-inflight: {e}")));
                 if opts.max_inflight == 0 {
-                    eprintln!("error: --max-inflight must be >= 1");
-                    std::process::exit(2);
+                    usage("--max-inflight must be >= 1");
                 }
             }
             "--max-sessions" => {
-                opts.max_sessions = take(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("error: --max-sessions: {e}");
-                    std::process::exit(2);
-                });
+                opts.max_sessions = take(&mut i)
+                    .parse()
+                    .unwrap_or_else(|e| usage(format!("--max-sessions: {e}")));
             }
-            other => {
-                eprintln!("error: unknown serve flag {other} (serve takes --max-inflight, --max-sessions)");
-                std::process::exit(2);
-            }
+            other => usage(format!(
+                "unknown serve flag {other} (serve takes --max-inflight, --max-sessions)"
+            )),
         }
         i += 1;
     }
@@ -1297,30 +1120,23 @@ fn main() {
         run_serve(&argv[1..]);
         return;
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_usage(parse_args());
     if let Some(rate) = args.load {
         run_traffic(&args, rate);
         return;
     }
     if args.chaos.is_some() {
-        eprintln!("error: --chaos requires --load (churn acts on open-loop traffic)");
-        std::process::exit(2);
+        usage("--chaos requires --load (churn acts on open-loop traffic)");
     }
     if args.spans_out.is_some() || args.timeseries_out.is_some() {
-        eprintln!(
-            "error: --spans-out/--timeseries-out require --load (the flight recorder is session-level)"
-        );
-        std::process::exit(2);
+        usage("--spans-out/--timeseries-out require --load (the flight recorder is session-level)");
     }
     if let Some(kind) = args.collective {
         run_collective(&args, kind);
         return;
+    }
+    if args.topology != TopologyKind::Cube && args.fault_flags() {
+        usage("fault injection/repair flags are hypercube-only");
     }
     if args.topology == TopologyKind::Torus {
         run_torus(&args);
@@ -1331,39 +1147,22 @@ fn main() {
         return;
     }
     if args.router == RouterKind::Adaptive {
-        eprintln!("error: --router adaptive is mesh-only (the cube routes E-cube)");
-        std::process::exit(2);
+        usage("--router adaptive is mesh-only (the cube routes E-cube)");
     }
-    let cube = match Cube::new(args.n) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let dests: Vec<NodeId> = if let Some(m) = args.random {
-        let mut rng = workloads::destsets::trial_rng("mcast-cli", 0, args.seed as usize);
-        workloads::destsets::random_dests(&mut rng, cube, NodeId(args.source), m)
-    } else if args.dests.is_empty() {
-        eprintln!("error: provide --dests or --random (try --help)");
-        std::process::exit(2);
-    } else {
-        args.dests.iter().copied().map(NodeId).collect()
-    };
+    let cube = or_usage(Cube::new(args.n));
+    let dests = single_shot_dests(&args, &cube);
 
     // Assemble the fault plan, if any fault flag was given.
     let mut plan = FaultPlan::random_links(cube, args.faults, args.seed);
     for &(v, d) in &args.fail_links {
         if v >= cube.node_count() as u32 || d >= args.n {
-            eprintln!("error: --fail-link {v}:{d} outside the {}-cube", args.n);
-            std::process::exit(2);
+            usage(format!("--fail-link {v}:{d} outside the {}-cube", args.n));
         }
         plan.fail_link(NodeId(v), Dim(d));
     }
     for &v in &args.fail_nodes {
         if v >= cube.node_count() as u32 {
-            eprintln!("error: --fail-node {v} outside the {}-cube", args.n);
-            std::process::exit(2);
+            usage(format!("--fail-node {v} outside the {}-cube", args.n));
         }
         plan.fail_node(NodeId(v));
     }
@@ -1371,8 +1170,7 @@ fn main() {
 
     let params = SimParams::ncube2(args.port);
     if (args.trace_out.is_some() || args.metrics_out.is_some()) && args.algo.is_none() {
-        eprintln!("error: --trace-out/--metrics-out need a single --algo (not `all`)");
-        std::process::exit(2);
+        usage("--trace-out/--metrics-out need a single --algo (not `all`)");
     }
     let algos: Vec<Algorithm> = match args.algo {
         Some(a) => vec![a],
@@ -1387,19 +1185,13 @@ fn main() {
         args.bytes
     );
     for algo in algos {
-        let tree = match algo.build(
+        let tree = or_usage(algo.build(
             cube,
             Resolution::HighToLow,
             args.port,
             NodeId(args.source),
             &dests,
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+        ));
         let witnesses = contention_witnesses(&tree);
         let lanes = args.lanes.unwrap_or(1);
         let report = wormsim::simulate_multicast_lanes(&tree, &params, args.bytes, lanes);

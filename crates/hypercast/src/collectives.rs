@@ -377,6 +377,57 @@ impl CollectiveKind {
             CollectiveKind::Allreduce => "allreduce",
         }
     }
+
+    /// Builds this collective on `cube` from `family` trees built for
+    /// `port`, `block_bytes` per node: [`allgather`],
+    /// [`reduce_scatter`], or [`allreduce`] rooted at `root` (the other
+    /// two have no root).
+    ///
+    /// # Errors
+    /// As the function it dispatches to.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build(
+        self,
+        family: TreeFamily,
+        cube: Cube,
+        resolution: Resolution,
+        port: PortModel,
+        root: NodeId,
+        block_bytes: u32,
+        cache: Option<&mut TreeCache>,
+    ) -> Result<CollectiveSchedule, HcubeError> {
+        match self {
+            CollectiveKind::Allgather => {
+                allgather(family, cube, resolution, port, block_bytes, cache)
+            }
+            CollectiveKind::ReduceScatter => {
+                reduce_scatter(family, cube, resolution, port, block_bytes, cache)
+            }
+            CollectiveKind::Allreduce => {
+                allreduce(family, cube, resolution, port, root, block_bytes, cache)
+            }
+        }
+    }
+
+    /// This collective as direct exchanges on any topology:
+    /// [`allgather_separate`], [`reduce_scatter_separate`], or
+    /// [`allreduce_separate`] rooted at `root`.
+    ///
+    /// # Panics
+    /// As the function it dispatches to.
+    #[must_use]
+    pub fn build_separate<T: Topology>(
+        self,
+        topo: &T,
+        root: NodeId,
+        block_bytes: u32,
+    ) -> CollectiveSchedule {
+        match self {
+            CollectiveKind::Allgather => allgather_separate(topo, block_bytes),
+            CollectiveKind::ReduceScatter => reduce_scatter_separate(topo, block_bytes),
+            CollectiveKind::Allreduce => allreduce_separate(topo, root, block_bytes),
+        }
+    }
 }
 
 /// Which data segments a collective unicast carries. Buffers are modeled

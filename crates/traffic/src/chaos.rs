@@ -1,11 +1,11 @@
 //! The chaos engine: open-loop traffic under online fault churn, with
 //! self-healing retries.
 //!
-//! [`run_chaos_cube`] extends [`run_cube`](crate::run_cube) with a
-//! [`ChurnSpec`] failure/repair process and a
-//! [`RetryPolicy`]:
+//! [`run_chaos`] extends [`run`](crate::run) of a [`Multicast`] source
+//! with a [`ChurnSpec`] failure/repair process and a [`RetryPolicy`]:
 //!
-//! 1. the churn process is rendered into a [`FaultTimeline`] and
+//! 1. the churn process is rendered into a [`FaultTimeline`] at the
+//!    source router's `(link, lane)` fault granularity and
 //!    snapshotted into epoch-numbered [`wormsim::FaultPlan`]s — the
 //!    fault state is piecewise constant;
 //! 2. sessions launched in epoch *e* run under epoch *e*'s plan for
@@ -30,27 +30,30 @@
 //! The first attempt always replays the pristine-cube tree — sources do
 //! not know the fault state until a send fails, so fault *detection* is
 //! end-to-end: the failed attempt itself is the detection, and the
-//! repaired tree only enters on the retry. With churn disabled
-//! ([`ChurnSpec::is_quiet`]) the whole machinery degenerates to a
-//! single epoch with an empty plan and the run is byte-identical to
-//! [`run_cube`](crate::run_cube) (pinned by the equivalence tests).
+//! repaired tree only enters on the retry. Separate addressing has no
+//! tree to repair, so its retries resend unchanged and recovery relies
+//! on the victim reviving before the retry budget runs out (the
+//! baseline the tree algorithms' repair path is measured against).
+//!
+//! With churn disabled ([`ChurnSpec::is_quiet`]) the whole machinery
+//! degenerates to a single epoch with an empty plan and the run is
+//! byte-identical to [`run`](crate::run) of the same source (pinned by
+//! the equivalence tests).
 //!
 //! **Backoff units.** [`RetryPolicy`] backoffs are abstract units; the
 //! chaos engine interprets them as **microseconds** of simulated time.
 
 use crate::churn::ChurnSpec;
-use crate::engine::{push_tree_session, TrafficSpec};
+use crate::engine::{for_each_session, TrafficSpec};
+use crate::source::{CubeTrees, Multicast, WaveSpan};
 use crate::stats::BatchMeans;
-use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
+use hcube::{Cube, NodeId, Resolution, Router};
 use hypercast::protocol::RetryPolicy;
 use hypercast::{Algorithm, CacheStats, NetworkFaults, TreeCache};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::fmt;
 use wormsim::{
     DepMessage, EngineScratch, FaultCause, FaultEpoch, FaultTimeline, NetStats, NoopProbe, Outcome,
-    Probe, SimTime,
+    Probe, SimParams, SimTime,
 };
 
 /// Configuration of one chaos run: plain open-loop traffic plus a churn
@@ -238,22 +241,6 @@ pub(crate) struct Attempt {
     pub(crate) first_failure: Option<SessionFailure>,
 }
 
-/// How one simulated attempt ended.
-pub(crate) enum AttemptOutcome {
-    Delivered,
-    Failed(SessionFailure),
-    WindowCut,
-}
-
-/// One attempt's slice of a wave workload: the message range it
-/// occupies, how many requested destinations its tree could not cover,
-/// and whether its tree came out of the cache.
-pub(crate) struct WaveSpan {
-    pub(crate) range: std::ops::Range<usize>,
-    pub(crate) missing: usize,
-    pub(crate) cache_hit: bool,
-}
-
 /// A flight recorder threaded through the epoch-wave loop. The plain
 /// chaos entry points use [`NoTelemetry`], which monomorphizes to the
 /// unobserved engine and records nothing — byte-identity of the plain
@@ -264,15 +251,9 @@ pub(crate) trait WaveTelemetry {
     /// The probe to observe the next wave with.
     fn probe(&mut self) -> &mut Self::P;
     /// Called once per simulated wave, after the engine run, with the
-    /// wave's attempts (in launch order), their workload spans, the raw
-    /// run result, and the epoch's fault plan (deadline included).
-    fn record_wave(
-        &mut self,
-        attempts: &[Attempt],
-        spans: &[WaveSpan],
-        run: &wormsim::RunResult,
-        plan: &wormsim::FaultPlan,
-    );
+    /// wave's attempts (in launch order), their workload spans, and the
+    /// raw run result.
+    fn record_wave(&mut self, attempts: &[Attempt], spans: &[WaveSpan], run: &wormsim::RunResult);
 }
 
 /// The no-op recorder: a [`NoopProbe`] and empty hooks.
@@ -284,89 +265,70 @@ impl WaveTelemetry for NoTelemetry {
     fn probe(&mut self) -> &mut NoopProbe {
         &mut self.0
     }
-    fn record_wave(
-        &mut self,
-        _attempts: &[Attempt],
-        _spans: &[WaveSpan],
-        _run: &wormsim::RunResult,
-        _plan: &wormsim::FaultPlan,
-    ) {
-    }
+    fn record_wave(&mut self, _: &[Attempt], _: &[WaveSpan], _: &wormsim::RunResult) {}
 }
 
-/// Runs open-loop multicast traffic on a hypercube under online fault
-/// churn. See the module docs for the execution model.
+/// Runs open-loop multicast traffic from `source` under online fault
+/// churn. See the module docs for the execution model. Reusing
+/// `scratch` across runs is byte-invisible.
 ///
 /// # Panics
-/// See [`run_cube`](crate::run_cube); additionally panics on a
+/// See [`assemble`](crate::assemble); additionally panics on a
 /// malformed [`ChurnSpec`] (nonpositive MTBF).
+#[must_use]
+pub fn run_chaos<S: Multicast>(
+    spec: &ChaosSpec,
+    source: &S,
+    params: &SimParams,
+    scratch: &mut EngineScratch,
+) -> ChaosReport {
+    run_recorded(spec, source, params, scratch, &mut NoTelemetry::default()).0
+}
+
+/// [`run_chaos`] of [`CubeTrees`], on a fresh scratch. Kept by name
+/// because the repository benchmark (`perfbench/`) links it.
 #[must_use]
 pub fn run_chaos_cube(
     spec: &ChaosSpec,
     cube: Cube,
     resolution: Resolution,
     algo: Algorithm,
-    params: &wormsim::SimParams,
+    params: &SimParams,
 ) -> ChaosReport {
-    let mut scratch = EngineScratch::new();
-    run_chaos_cube_with_scratch(spec, cube, resolution, algo, params, &mut scratch)
+    let source = CubeTrees::new(cube, resolution, algo);
+    run_chaos(spec, &source, params, &mut EngineScratch::new())
 }
 
-/// Scratch-reusing [`run_chaos_cube`]; byte-identical reports.
-///
-/// # Panics
-/// See [`run_chaos_cube`].
-#[must_use]
-pub fn run_chaos_cube_with_scratch(
+/// [`run_chaos`] with a [`WaveTelemetry`] recorder observing every wave:
+/// renders the spec's churn at the router's `(link, lane)` granularity
+/// (every lane an independent failure element; on a one-lane router
+/// this is exactly [`ChurnSpec::timeline_on`]) and returns the report
+/// with the timeline it ran against. The report is byte-identical
+/// regardless of the recorder (probes never perturb the engine).
+pub(crate) fn run_recorded<S: Multicast, T: WaveTelemetry>(
     spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
+    source: &S,
+    params: &SimParams,
     scratch: &mut EngineScratch,
-) -> ChaosReport {
-    let timeline = spec.churn.timeline_on(&cube, spec.traffic.seed);
-    run_chaos_cube_on_timeline(spec, cube, resolution, algo, params, &timeline, scratch)
+    tel: &mut T,
+) -> (ChaosReport, FaultTimeline) {
+    let router = source.router();
+    let timeline =
+        spec.churn
+            .timeline_on_lanes(&router.topology(), router.lanes(), spec.traffic.seed);
+    let report = run_chaos_on_timeline(spec, source, params, &timeline, scratch, tel);
+    (report, timeline)
 }
 
-/// [`run_chaos_cube`] against an explicit, already-rendered fault
-/// timeline (scripted outages, tests). The [`ChurnSpec`] inside `spec`
-/// is ignored; everything else applies unchanged.
-///
-/// # Panics
-/// See [`run_chaos_cube`].
-#[must_use]
-pub fn run_chaos_cube_on_timeline(
+/// The epoch-wave loop against an explicit, already-rendered fault
+/// timeline (the [`ChurnSpec`] inside `spec` is ignored): partitions
+/// attempts by launch epoch, simulates each wave under its epoch's
+/// fault plan (plus the window deadline), classifies every attempt,
+/// schedules retries, and assembles the report.
+pub(crate) fn run_chaos_on_timeline<S: Multicast, T: WaveTelemetry>(
     spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
-    timeline: &FaultTimeline,
-    scratch: &mut EngineScratch,
-) -> ChaosReport {
-    run_chaos_cube_on_timeline_telemetry(
-        spec,
-        cube,
-        resolution,
-        algo,
-        params,
-        timeline,
-        scratch,
-        &mut NoTelemetry::default(),
-    )
-}
-
-/// [`run_chaos_cube_on_timeline`] with a [`WaveTelemetry`] recorder
-/// observing every wave. The report is byte-identical regardless of the
-/// recorder (probes never perturb the engine).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
+    source: &S,
+    params: &SimParams,
     timeline: &FaultTimeline,
     scratch: &mut EngineScratch,
     tel: &mut T,
@@ -374,216 +336,12 @@ pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
     // Draw the arrival schedule and every destination pattern up front,
     // in exactly the plain engine's RNG order — churn must not perturb
     // the traffic stream.
-    let mut rng = StdRng::seed_from_u64(spec.traffic.seed);
-    let schedule = spec
-        .traffic
-        .arrivals
-        .schedule(&mut rng, spec.traffic.sessions);
-    let draws: Vec<(NodeId, Vec<NodeId>)> = schedule
-        .iter()
-        .map(|_| spec.traffic.pattern.draw_cube(&mut rng, cube))
-        .collect();
-
+    let mut draws: Vec<(NodeId, Vec<NodeId>)> = Vec::with_capacity(spec.traffic.sessions);
+    let schedule = for_each_session(&spec.traffic, |rng, _, _| {
+        draws.push(source.draw(&spec.traffic.pattern, rng));
+    });
+    let router = source.router();
     let mut cache = TreeCache::new(spec.traffic.cache_capacity);
-    let build = |cache: &mut TreeCache,
-                 attempt: &Attempt,
-                 faults: &NetworkFaults|
-     -> std::sync::Arc<hypercast::MulticastTree> {
-        let (source, dests) = &draws[attempt.session];
-        if attempt.number == 1 {
-            // End-to-end fault detection: the first attempt always
-            // replays the pristine tree (the source has not yet learned
-            // of any fault).
-            cache
-                .get_or_build(algo, cube, resolution, params.port_model, *source, dests)
-                .expect("traffic destination draw produced an invalid multicast")
-        } else {
-            cache
-                .get_or_build_repaired(
-                    algo,
-                    cube,
-                    resolution,
-                    params.port_model,
-                    *source,
-                    dests,
-                    faults,
-                )
-                .expect("traffic destination draw produced an invalid multicast")
-        }
-    };
-
-    run_epoch_waves(
-        spec,
-        &schedule,
-        timeline,
-        &mut cache,
-        scratch,
-        |cache, attempts, faults, plan, scratch| {
-            let mut workload: Vec<DepMessage> = Vec::new();
-            let mut spans = Vec::with_capacity(attempts.len());
-            for attempt in attempts {
-                let before = cache.stats();
-                let tree = build(cache, attempt, faults);
-                let cache_hit = cache.stats().since(before).hits > 0;
-                let range =
-                    push_tree_session(&mut workload, &tree, spec.traffic.bytes, attempt.launch);
-                // Coverage check: which requested destinations does the
-                // (possibly repaired) tree actually reach?
-                let covered: BTreeSet<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();
-                let missing = draws[attempt.session]
-                    .1
-                    .iter()
-                    .filter(|d| !covered.contains(d))
-                    .count();
-                spans.push(WaveSpan {
-                    range,
-                    missing,
-                    cache_hit,
-                });
-            }
-            let run = wormsim::run(
-                Ecube::new(cube, resolution),
-                params,
-                &workload,
-                plan,
-                tel.probe(),
-                scratch,
-            )
-            .expect("windowed chaos runs cannot deadlock");
-            tel.record_wave(attempts, &spans, &run, plan);
-            (run, spans)
-        },
-    )
-}
-
-/// Separate-addressing chaos on any routed topology: each attempt
-/// re-sends one independent unicast per destination — there is no tree
-/// and no repair, so recovery relies entirely on the victim node or
-/// link reviving before the retry budget runs out (the baseline the
-/// tree algorithms' repair path is measured against).
-///
-/// # Panics
-/// See [`run_separate_on`](crate::run_separate_on).
-#[must_use]
-pub fn run_chaos_separate_on<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    run_chaos_separate_on_with_scratch(spec, router, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_chaos_separate_on`]; byte-identical reports.
-///
-/// # Panics
-/// See [`run_chaos_separate_on`].
-#[must_use]
-pub fn run_chaos_separate_on_with_scratch<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-    scratch: &mut EngineScratch,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    run_chaos_separate_telemetry_on_with_scratch(spec, router, params, scratch, &mut {
-        NoTelemetry::default()
-    })
-}
-
-/// [`run_chaos_separate_on_with_scratch`] with a [`WaveTelemetry`]
-/// recorder observing every wave; byte-identical reports.
-pub(crate) fn run_chaos_separate_telemetry_on_with_scratch<R: Router + Copy, T: WaveTelemetry>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-    scratch: &mut EngineScratch,
-    tel: &mut T,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    let topo = router.topology();
-    // Churn at the router's (link, lane) fault granularity: every lane
-    // is an independent failure element. For the dateline torus this is
-    // the same per-virtual-channel element space the old 4n-port
-    // encoding churned over (byte-identity pinned in `churn`'s tests).
-    let timeline = spec
-        .churn
-        .timeline_on_lanes(&topo, router.lanes(), spec.traffic.seed);
-    let mut rng = StdRng::seed_from_u64(spec.traffic.seed);
-    let schedule = spec
-        .traffic
-        .arrivals
-        .schedule(&mut rng, spec.traffic.sessions);
-    let draws: Vec<(NodeId, Vec<NodeId>)> = schedule
-        .iter()
-        .map(|_| spec.traffic.pattern.draw_on(&mut rng, &topo))
-        .collect();
-
-    let mut cache = TreeCache::new(0); // separate addressing builds no trees
-    run_epoch_waves(
-        spec,
-        &schedule,
-        &timeline,
-        &mut cache,
-        scratch,
-        |_cache, attempts, _faults, plan, scratch| {
-            let mut workload: Vec<DepMessage> = Vec::new();
-            let mut spans = Vec::with_capacity(attempts.len());
-            for attempt in attempts {
-                let (source, dests) = &draws[attempt.session];
-                let base = workload.len();
-                for &dst in dests {
-                    workload.push(DepMessage {
-                        src: *source,
-                        dst,
-                        bytes: spec.traffic.bytes,
-                        deps: vec![],
-                        min_start: attempt.launch,
-                    });
-                }
-                spans.push(WaveSpan {
-                    range: base..workload.len(),
-                    missing: 0,
-                    cache_hit: false,
-                });
-            }
-            let run = wormsim::run(router, params, &workload, plan, tel.probe(), scratch)
-                .expect("windowed chaos runs cannot deadlock");
-            tel.record_wave(attempts, &spans, &run, plan);
-            (run, spans)
-        },
-    )
-}
-
-/// The shared epoch-wave loop: partitions attempts by launch epoch,
-/// simulates each wave under its epoch's fault plan (plus the window
-/// deadline), classifies every attempt, schedules retries, and
-/// assembles the report. `simulate_wave` builds and runs one wave's
-/// workload, returning the run plus each attempt's `(range, missing)`.
-fn run_epoch_waves<F>(
-    spec: &ChaosSpec,
-    schedule: &[SimTime],
-    timeline: &FaultTimeline,
-    cache: &mut TreeCache,
-    scratch: &mut EngineScratch,
-    mut simulate_wave: F,
-) -> ChaosReport
-where
-    F: FnMut(
-        &mut TreeCache,
-        &[Attempt],
-        &NetworkFaults,
-        &wormsim::FaultPlan,
-        &mut EngineScratch,
-    ) -> (wormsim::RunResult, Vec<WaveSpan>),
-{
     let horizon = spec.traffic.horizon;
     let epochs: Vec<FaultEpoch> = timeline.epochs();
     let epoch_of = |t: SimTime| -> usize {
@@ -619,7 +377,27 @@ where
         while !pending[e].is_empty() {
             let mut wave = std::mem::take(&mut pending[e]);
             wave.sort_by_key(|a| (a.launch, a.session, a.number));
-            let (run, spans) = simulate_wave(cache, &wave, &faults, &plan, scratch);
+            let mut workload: Vec<DepMessage> = Vec::new();
+            let spans: Vec<WaveSpan> = wave
+                .iter()
+                .map(|a| {
+                    let (draw, bytes) = (&draws[a.session], spec.traffic.bytes);
+                    let cache = &mut cache;
+                    source.attempt(
+                        draw,
+                        params.port_model,
+                        a.number,
+                        &faults,
+                        cache,
+                        bytes,
+                        a.launch,
+                        &mut workload,
+                    )
+                })
+                .collect();
+            let run = wormsim::run(router, params, &workload, &plan, tel.probe(), scratch)
+                .expect("windowed chaos runs cannot deadlock");
+            tel.record_wave(&wave, &spans, &run);
             net.absorb(&run.stats);
             for (attempt, span) in wave.into_iter().zip(spans) {
                 let msgs = &run.messages[span.range];
@@ -628,44 +406,19 @@ where
                     .map(|m| m.delivered)
                     .max()
                     .unwrap_or(attempt.launch);
-                let outcome = classify(msgs, span.missing);
-                let arrival = schedule[attempt.session];
-                match outcome {
-                    AttemptOutcome::Delivered => {
-                        sessions[attempt.session] = Some(ChaosSession {
-                            arrival,
-                            completion: resolution,
-                            latency: resolution.saturating_sub(arrival),
-                            attempts: attempt.number,
-                            delivered: true,
-                            failure: None,
-                        });
-                    }
-                    AttemptOutcome::WindowCut => {
-                        // Terminal: never retried (see the module docs).
-                        sessions[attempt.session] = Some(ChaosSession {
-                            arrival,
-                            completion: resolution,
-                            latency: resolution.saturating_sub(arrival),
-                            attempts: attempt.number,
-                            delivered: false,
-                            failure: Some(SessionFailure::WindowCut),
-                        });
-                    }
-                    AttemptOutcome::Failed(failure) => {
+                // `Some(failure)` ends the session (`failure` is `None`
+                // when it delivered); `None` schedules a retry.
+                let end = match classify(msgs, span.missing) {
+                    None => Some(None),
+                    // Terminal: never retried (see the module docs).
+                    Some(SessionFailure::WindowCut) => Some(Some(SessionFailure::WindowCut)),
+                    Some(failure) => {
                         let first_failure = attempt.first_failure.unwrap_or(failure);
                         let backoff_us = spec.retry.backoff(attempt.number);
                         let relaunch = resolution + SimTime::from_ns(backoff_us * 1000);
                         if attempt.number >= max_attempts || relaunch >= horizon {
                             lost += 1;
-                            sessions[attempt.session] = Some(ChaosSession {
-                                arrival,
-                                completion: resolution,
-                                latency: resolution.saturating_sub(arrival),
-                                attempts: attempt.number,
-                                delivered: false,
-                                failure: Some(first_failure),
-                            });
+                            Some(Some(first_failure))
                         } else {
                             pending[epoch_of(relaunch).max(e)].push(Attempt {
                                 session: attempt.session,
@@ -673,8 +426,20 @@ where
                                 launch: relaunch,
                                 first_failure: Some(first_failure),
                             });
+                            None
                         }
                     }
+                };
+                if let Some(failure) = end {
+                    let arrival = schedule[attempt.session];
+                    sessions[attempt.session] = Some(ChaosSession {
+                        arrival,
+                        completion: resolution,
+                        latency: resolution.saturating_sub(arrival),
+                        attempts: attempt.number,
+                        delivered: failure.is_none(),
+                        failure,
+                    });
                 }
             }
         }
@@ -688,21 +453,21 @@ where
 }
 
 /// Classifies one attempt from its per-message outcomes plus the
-/// count of requested destinations its tree could not cover.
-pub(crate) fn classify(msgs: &[wormsim::MessageResult], missing: usize) -> AttemptOutcome {
+/// count of requested destinations its tree could not cover: `None`
+/// when it delivered, else why it failed.
+pub(crate) fn classify(msgs: &[wormsim::MessageResult], missing: usize) -> Option<SessionFailure> {
     if let Some(cause) = msgs.iter().find_map(|m| match m.outcome {
         Outcome::Failed(cause) => Some(cause),
         _ => None,
     }) {
-        return AttemptOutcome::Failed(SessionFailure::Faulted(cause));
+        return Some(SessionFailure::Faulted(cause));
     }
     if missing > 0 {
-        return AttemptOutcome::Failed(SessionFailure::Unreachable { missing });
+        return Some(SessionFailure::Unreachable { missing });
     }
-    if msgs.iter().any(|m| m.outcome == Outcome::TimedOut) {
-        return AttemptOutcome::WindowCut;
-    }
-    AttemptOutcome::Delivered
+    msgs.iter()
+        .any(|m| m.outcome == Outcome::TimedOut)
+        .then_some(SessionFailure::WindowCut)
 }
 
 /// Assembles the final report from terminal session records.
@@ -782,11 +547,26 @@ fn assemble_chaos(
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
-    use crate::engine::{run_cube, run_separate_on};
     use crate::patterns::DestPattern;
+    use crate::source::Separate;
     use hcube::{Torus, TorusRouter};
     use hypercast::PortModel;
-    use wormsim::{FaultEvent, FaultEventKind, SimParams};
+    use wormsim::{FaultEvent, FaultEventKind};
+
+    fn wsort5() -> CubeTrees {
+        CubeTrees::new(Cube::of(5), Resolution::HighToLow, Algorithm::WSort)
+    }
+
+    /// A chaos run on a fresh scratch.
+    fn chaos<S: Multicast>(spec: &ChaosSpec, source: &S, params: &SimParams) -> ChaosReport {
+        run_chaos(spec, source, params, &mut EngineScratch::new())
+    }
+
+    /// A chaos run against a scripted fault timeline.
+    fn scripted(spec: &ChaosSpec, params: &SimParams, timeline: &FaultTimeline) -> ChaosReport {
+        let (mut scratch, mut tel) = (EngineScratch::new(), NoTelemetry::default());
+        run_chaos_on_timeline(spec, &wsort5(), params, timeline, &mut scratch, &mut tel)
+    }
 
     fn traffic_spec(rate: f64, sessions: usize, seed: u64) -> TrafficSpec {
         TrafficSpec::new(
@@ -845,20 +625,8 @@ mod tests {
         // to pin that cut sessions are terminal (not retried).
         for rate in [2.0, 60.0] {
             let ts = traffic_spec(rate, 40, 11);
-            let plain = run_cube(
-                &ts,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-            );
-            let chaos = run_chaos_cube(
-                &ChaosSpec::new(ts, ChurnSpec::quiet()),
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-            );
+            let plain = crate::run(&ts, &wsort5(), &params, &mut EngineScratch::new());
+            let chaos = chaos(&ChaosSpec::new(ts, ChurnSpec::quiet()), &wsort5(), &params);
             assert_eq!(plain_view(&plain), chaos_view(&chaos), "rate {rate}");
             assert!(chaos.sessions.iter().all(|s| s.attempts == 1));
             assert_eq!(chaos.time_to_recover, None);
@@ -870,14 +638,10 @@ mod tests {
     #[test]
     fn zero_churn_separate_run_matches_the_plain_engine() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let torus = Torus::of(4, 2);
+        let torus = Separate(TorusRouter::new(Torus::of(4, 2)));
         let ts = traffic_spec(1.0, 25, 9);
-        let plain = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let chaos = run_chaos_separate_on(
-            &ChaosSpec::new(ts, ChurnSpec::quiet()),
-            TorusRouter::new(torus),
-            &params,
-        );
+        let plain = crate::run(&ts, &torus, &params, &mut EngineScratch::new());
+        let chaos = chaos(&ChaosSpec::new(ts, ChurnSpec::quiet()), &torus, &params);
         assert_eq!(plain_view(&plain), chaos_view(&chaos));
     }
 
@@ -885,23 +649,10 @@ mod tests {
     fn chaos_run_is_byte_deterministic_and_scratch_invariant() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let spec = ChaosSpec::new(traffic_spec(2.0, 40, 11), churny(SimTime::from_ms(10)));
-        let fresh = run_chaos_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let fresh = chaos(&spec, &wsort5(), &params);
         let mut scratch = EngineScratch::new();
         for _ in 0..2 {
-            let again = run_chaos_cube_with_scratch(
-                &spec,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                &mut scratch,
-            );
+            let again = run_chaos(&spec, &wsort5(), &params, &mut scratch);
             assert_eq!(format!("{fresh:?}"), format!("{again:?}"));
         }
     }
@@ -912,13 +663,7 @@ mod tests {
         let mut ts = traffic_spec(2.0, 60, 3);
         ts.horizon = SimTime::from_ms(60);
         let spec = ChaosSpec::new(ts, churny(SimTime::from_ms(15)));
-        let r = run_chaos_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = chaos(&spec, &wsort5(), &params);
         assert!(r.fault_events > 0, "this churn spec must produce events");
         assert!(r.epochs > 1);
         assert!(
@@ -962,15 +707,7 @@ mod tests {
             kind: FaultEventKind::NodeDown(victim),
         }]);
         let spec = ChaosSpec::new(ts, ChurnSpec::quiet());
-        let r = run_chaos_cube_on_timeline(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &timeline,
-            &mut EngineScratch::new(),
-        );
+        let r = scripted(&spec, &params, &timeline);
         let s = &r.sessions[0];
         assert!(!s.delivered);
         assert_eq!(
@@ -1021,15 +758,7 @@ mod tests {
             },
         ]);
         let spec = ChaosSpec::new(ts, ChurnSpec::quiet());
-        let r = run_chaos_cube_on_timeline(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &timeline,
-            &mut EngineScratch::new(),
-        );
+        let r = scripted(&spec, &params, &timeline);
         let s = &r.sessions[0];
         assert!(s.delivered, "the retry must land after the revival");
         assert!(s.attempts > 1);

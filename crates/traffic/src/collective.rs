@@ -1,38 +1,117 @@
-//! Open-loop *collective* traffic: every session is one full-machine
-//! collective operation instead of a single multicast.
+//! Open-loop *collective* traffic: sources whose every session is one
+//! full-machine collective operation instead of a single multicast.
 //!
-//! Sessions arrive by the spec's [`Arrivals`](crate::arrivals::Arrivals)
-//! process; each rebuilds its [`CollectiveSchedule`] — allgather and
+//! Each session rebuilds its [`CollectiveSchedule`] — allgather and
 //! reduce-scatter re-derive all `N` constituent trees, allreduce the one
-//! tree of its (rotating) root — with [`Algorithm`](hypercast::Algorithm)-family trees going
-//! through the run's shared [`TreeCache`], so after the first session
-//! the per-arrival cost is pointer-clone cache hits plus dependency
-//! layout. Bine trees are built directly (they are cheaper to construct
-//! than to cache). The assembled workload then runs under the same
-//! windowed engine as plain multicast traffic, so reports are directly
-//! comparable.
+//! tree of its (rotating) root. The assembled workload runs under the
+//! same windowed engine as plain multicast traffic, so reports are
+//! directly comparable.
 
-use crate::engine::{
-    run_sessions_on_with_scratch, SessionSpan, SessionWorkload, TrafficReport, TrafficSpec,
-};
+use crate::engine::TrafficSpec;
+use crate::source::{SessionSpan, Source};
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
-    reduce_scatter_separate,
-};
-use hypercast::{CollectiveKind, CollectiveSchedule, TreeCache, TreeFamily};
+use hypercast::{CollectiveKind, CollectiveSchedule, PortModel, TreeCache, TreeFamily};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use wormsim::{DepMessage, EngineScratch, SimParams};
+use wormsim::{DepMessage, SimTime};
 
-/// Appends one collective session to `workload`: one [`DepMessage`] per
-/// op, dependency indices offset to the session's base, `min_start` =
-/// the session's arrival.
-fn push_collective_session(
+/// Full-machine collectives on the hypercube: every session is one
+/// `kind` collective built from `family` trees for the run's port
+/// model. The spec's
+/// `bytes` is the per-node block size and allreduce roots rotate
+/// round-robin across sessions. Algorithm-family trees go through the
+/// run's cache, so after the first session they are pointer-clone hits;
+/// bine trees are built directly (they are cheaper to construct than to
+/// cache).
+#[derive(Clone, Copy, Debug)]
+pub struct CubeCollective {
+    /// The hypercube.
+    pub cube: Cube,
+    /// E-cube dimension order.
+    pub resolution: Resolution,
+    /// The collective every session runs.
+    pub kind: CollectiveKind,
+    /// The tree family its schedules are built from.
+    pub family: TreeFamily,
+}
+
+impl Source for CubeCollective {
+    type Router = Ecube;
+
+    fn router(&self) -> Ecube {
+        Ecube::new(self.cube, self.resolution)
+    }
+
+    /// # Panics
+    /// If a schedule build fails — impossible for full-machine
+    /// collectives on a valid cube (every node is a legal source).
+    fn session(
+        &self,
+        spec: &TrafficSpec,
+        port: PortModel,
+        _rng: &mut StdRng,
+        i: usize,
+        arrival: SimTime,
+        cache: &mut TreeCache,
+        workload: &mut Vec<DepMessage>,
+    ) -> SessionSpan {
+        let (family, cube, res) = (self.family, self.cube, self.resolution);
+        let before = cache.stats();
+        let root = NodeId(i as u32 % cube.node_count() as u32);
+        let sched = (self.kind)
+            .build(family, cube, res, port, root, spec.bytes, Some(cache))
+            .expect("full-machine collectives cannot fail to build");
+        let cache_hit =
+            matches!(family, TreeFamily::Alg(_)).then(|| cache.stats().since(before).hits > 0);
+        push_collective(workload, &sched, arrival, cache_hit)
+    }
+}
+
+/// Full-machine collectives as direct exchanges on any router (the
+/// torus backend): no trees, no cache. Allreduce roots rotate
+/// round-robin across sessions.
+#[derive(Clone, Copy, Debug)]
+pub struct SeparateCollective<R> {
+    /// The router the exchanges travel on.
+    pub router: R,
+    /// The collective every session runs.
+    pub kind: CollectiveKind,
+}
+
+impl<R: Router + Copy> Source for SeparateCollective<R> {
+    type Router = R;
+
+    fn router(&self) -> R {
+        self.router
+    }
+
+    /// # Panics
+    /// If the topology has fewer than two nodes.
+    fn session(
+        &self,
+        spec: &TrafficSpec,
+        _port: PortModel,
+        _rng: &mut StdRng,
+        i: usize,
+        arrival: SimTime,
+        _cache: &mut TreeCache,
+        workload: &mut Vec<DepMessage>,
+    ) -> SessionSpan {
+        let topo = self.router.topology();
+        let root = NodeId(i as u32 % topo.node_count() as u32);
+        let sched = self.kind.build_separate(&topo, root, spec.bytes);
+        push_collective(workload, &sched, arrival, None)
+    }
+}
+
+/// Appends one collective session to `workload` — one message per op,
+/// dependency indices offset to the session's base — and returns its
+/// span.
+fn push_collective(
     workload: &mut Vec<DepMessage>,
     sched: &CollectiveSchedule,
-    arrival: wormsim::SimTime,
-) -> std::ops::Range<usize> {
+    arrival: SimTime,
+    cache_hit: Option<bool>,
+) -> SessionSpan {
     let base = workload.len();
     for op in &sched.ops {
         workload.push(DepMessage {
@@ -43,171 +122,23 @@ fn push_collective_session(
             min_start: arrival,
         });
     }
-    base..workload.len()
-}
-
-/// Assembles the windowed workload of a hypercube collective traffic
-/// run without simulating it: arrival schedule, per-session schedule
-/// builds (tree families through the shared [`TreeCache`]), and
-/// dependency wiring. The spec's `bytes` is the per-node block size;
-/// allreduce roots rotate round-robin across sessions.
-///
-/// # Panics
-/// If a schedule build fails — impossible for full-machine collectives
-/// on a valid cube (every node is a legal source).
-#[must_use]
-pub fn assemble_collective_cube_sessions(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    kind: CollectiveKind,
-    family: TreeFamily,
-    params: &SimParams,
-) -> SessionWorkload {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut cache = TreeCache::new(spec.cache_capacity);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    let nodes = cube.node_count() as u32;
-    for (i, &arrival) in schedule.iter().enumerate() {
-        let before = cache.stats();
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather(
-                family,
-                cube,
-                resolution,
-                params.port_model,
-                spec.bytes,
-                Some(&mut cache),
-            ),
-            CollectiveKind::ReduceScatter => reduce_scatter(
-                family,
-                cube,
-                resolution,
-                params.port_model,
-                spec.bytes,
-                Some(&mut cache),
-            ),
-            CollectiveKind::Allreduce => allreduce(
-                family,
-                cube,
-                resolution,
-                params.port_model,
-                NodeId(i as u32 % nodes),
-                spec.bytes,
-                Some(&mut cache),
-            ),
-        }
-        .expect("full-machine collectives cannot fail to build");
-        let cache_hit = cache.stats().since(before).hits > 0;
-        let range = push_collective_session(&mut workload, &sched, arrival);
-        spans.push(SessionSpan {
-            arrival,
-            range,
-            dests: sched.ops.iter().map(|op| op.dst).collect(),
-            cache_hit,
-        });
+    SessionSpan {
+        arrival,
+        range: base..workload.len(),
+        dests: sched.ops.iter().map(|op| op.dst).collect(),
+        cache_hit,
     }
-    SessionWorkload::from_parts(workload, spans, cache.stats())
-}
-
-/// Runs open-loop collective traffic on a hypercube: every session is
-/// one full-machine `kind` collective built from `family` trees.
-///
-/// Fully deterministic: identical inputs give byte-identical reports.
-///
-/// # Panics
-/// See [`assemble_collective_cube_sessions`].
-#[must_use]
-pub fn run_collective_cube(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    kind: CollectiveKind,
-    family: TreeFamily,
-    params: &SimParams,
-) -> TrafficReport {
-    let mut scratch = EngineScratch::new();
-    run_collective_cube_with_scratch(spec, cube, resolution, kind, family, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_collective_cube`]: the collectives-sweep hot
-/// path. Reports are byte-identical to [`run_collective_cube`].
-///
-/// # Panics
-/// See [`assemble_collective_cube_sessions`].
-#[must_use]
-pub fn run_collective_cube_with_scratch(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    kind: CollectiveKind,
-    family: TreeFamily,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport {
-    let sessions = assemble_collective_cube_sessions(spec, cube, resolution, kind, family, params);
-    run_sessions_on_with_scratch(
-        spec,
-        Ecube::new(cube, resolution),
-        &sessions,
-        params,
-        scratch,
-    )
-}
-
-/// Runs open-loop **separate-addressing** collective traffic on any
-/// routed topology (the torus backend): no trees, no cache — each
-/// session replays the direct-exchange schedule of its collective.
-/// Allreduce roots rotate round-robin across sessions.
-///
-/// # Panics
-/// If the topology has fewer than two nodes.
-#[must_use]
-pub fn run_collective_separate_on<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    kind: CollectiveKind,
-    params: &SimParams,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
-    let topo = router.topology();
-    let nodes = topo.node_count() as u32;
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    for (i, &arrival) in schedule.iter().enumerate() {
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather_separate(&topo, spec.bytes),
-            CollectiveKind::ReduceScatter => reduce_scatter_separate(&topo, spec.bytes),
-            CollectiveKind::Allreduce => {
-                allreduce_separate(&topo, NodeId(i as u32 % nodes), spec.bytes)
-            }
-        };
-        let range = push_collective_session(&mut workload, &sched, arrival);
-        spans.push(SessionSpan {
-            arrival,
-            range,
-            dests: sched.ops.iter().map(|op| op.dst).collect(),
-            cache_hit: false,
-        });
-    }
-    let sessions = SessionWorkload::from_parts(workload, spans, hypercast::CacheStats::default());
-    let mut scratch = EngineScratch::new();
-    run_sessions_on_with_scratch(spec, router, &sessions, params, &mut scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
+    use crate::engine::{assemble, run};
     use crate::patterns::DestPattern;
     use hcube::{Torus, TorusRouter};
-    use hypercast::{Algorithm, PortModel};
+    use hypercast::Algorithm;
+    use wormsim::{EngineScratch, SimParams};
 
     fn spec(sessions: usize) -> TrafficSpec {
         let mut s = TrafficSpec::new(
@@ -220,26 +151,22 @@ mod tests {
         s
     }
 
+    fn collective(dim: u8, kind: CollectiveKind, family: TreeFamily) -> CubeCollective {
+        CubeCollective {
+            cube: Cube::of(dim),
+            resolution: Resolution::HighToLow,
+            kind,
+            family,
+        }
+    }
+
     #[test]
     fn collective_traffic_is_deterministic() {
         let params = SimParams::ncube2(PortModel::AllPort);
         for kind in CollectiveKind::ALL {
-            let a = run_collective_cube(
-                &spec(12),
-                Cube::of(4),
-                Resolution::HighToLow,
-                kind,
-                TreeFamily::Alg(Algorithm::WSort),
-                &params,
-            );
-            let b = run_collective_cube(
-                &spec(12),
-                Cube::of(4),
-                Resolution::HighToLow,
-                kind,
-                TreeFamily::Alg(Algorithm::WSort),
-                &params,
-            );
+            let source = collective(4, kind, TreeFamily::Alg(Algorithm::WSort));
+            let a = run(&spec(12), &source, &params, &mut EngineScratch::new());
+            let b = run(&spec(12), &source, &params, &mut EngineScratch::new());
             assert_eq!(a.latency.mean, b.latency.mean, "{}", kind.name());
             assert_eq!(a.completed_measured, b.completed_measured);
             assert_eq!(a.net.makespan, b.net.makespan);
@@ -248,45 +175,38 @@ mod tests {
 
     #[test]
     fn algorithm_families_hit_the_cache_after_the_first_session() {
-        let params = SimParams::ncube2(PortModel::AllPort);
-        let sessions = assemble_collective_cube_sessions(
-            &spec(5),
-            Cube::of(4),
-            Resolution::HighToLow,
+        let source = collective(
+            4,
             CollectiveKind::Allgather,
             TreeFamily::Alg(Algorithm::WSort),
-            &params,
         );
+        let sessions = assemble(&spec(5), &source, PortModel::AllPort);
         let stats = sessions.cache_stats();
         assert_eq!(stats.misses, 16, "one build per root, first session");
         assert_eq!(stats.hits, 4 * 16, "later sessions fully cached");
-        assert!(!sessions.spans[0].cache_hit);
-        assert!(sessions.spans[1..].iter().all(|s| s.cache_hit));
+        assert_eq!(sessions.spans[0].cache_hit, Some(false));
+        assert!(sessions.spans[1..]
+            .iter()
+            .all(|s| s.cache_hit == Some(true)));
     }
 
     #[test]
     fn bine_family_builds_without_touching_the_cache() {
-        let params = SimParams::ncube2(PortModel::AllPort);
-        let sessions = assemble_collective_cube_sessions(
-            &spec(3),
-            Cube::of(3),
-            Resolution::HighToLow,
-            CollectiveKind::Allgather,
-            TreeFamily::Bine,
-            &params,
-        );
+        let source = collective(3, CollectiveKind::Allgather, TreeFamily::Bine);
+        let sessions = assemble(&spec(3), &source, PortModel::AllPort);
         let stats = sessions.cache_stats();
         assert_eq!(stats.misses + stats.hits, 0);
         assert_eq!(sessions.sessions(), 3);
+        assert!(sessions.spans.iter().all(|s| s.cache_hit.is_none()));
     }
 
     #[test]
     fn separate_collectives_run_on_the_torus() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let torus = Torus::of(4, 2);
+        let router = TorusRouter::new(Torus::of(4, 2));
         for kind in CollectiveKind::ALL {
-            let report =
-                run_collective_separate_on(&spec(6), TorusRouter::new(torus), kind, &params);
+            let source = SeparateCollective { router, kind };
+            let report = run(&spec(6), &source, &params, &mut EngineScratch::new());
             assert_eq!(report.sessions.len(), 6, "{}", kind.name());
             assert!(report.completion_ratio > 0.0, "{}", kind.name());
         }

@@ -1,31 +1,33 @@
 //! The session scheduler: converts an arrival schedule plus a
-//! destination pattern into one windowed dependency workload and
-//! attributes the results back to sessions.
+//! [`Source`] into one windowed dependency workload and attributes the
+//! results back to sessions.
 //!
-//! Each arriving multicast session becomes a batch of [`DepMessage`]s —
-//! one per tree unicast (hypercube backends) or one per destination
-//! (separate addressing, any topology) — whose `min_start` is the
-//! session's arrival time. Forwarding dependencies stay *within* a
-//! session; across sessions the only coupling is physical channel
-//! contention, exactly as in the network. The whole run executes as one
-//! [`wormsim::run`] whose fault plan holds only the spec's horizon as a
-//! global deadline, so a saturated backlog is cut off at the horizon
-//! instead of extending the run without bound.
+//! Each arriving session becomes a batch of [`DepMessage`]s — one per
+//! tree unicast, per destination, or per collective op, as its source
+//! lays it out — whose `min_start` is the session's arrival time.
+//! Forwarding dependencies stay *within* a session; across sessions the
+//! only coupling is physical channel contention, exactly as in the
+//! network. The whole run executes as one [`wormsim::run`] whose fault
+//! plan holds only the spec's horizon as a global deadline, so a
+//! saturated backlog is cut off at the horizon instead of extending the
+//! run without bound.
 //!
-//! Hypercube sessions build their trees through a [`TreeCache`]: under
-//! recurring destination patterns (the [`DestPattern::Pool`] population)
-//! most arrivals are pointer-clone cache hits rather than full `W-sort`
+//! Tree sources build through one [`TreeCache`] per run: under
+//! recurring destination patterns (the
+//! [`DestPattern::Pool`] population) most
+//! arrivals are pointer-clone cache hits rather than full `W-sort`
 //! constructions; the report carries the cache counters.
 
 use crate::arrivals::Arrivals;
 use crate::patterns::DestPattern;
-use crate::stats::{BatchMeans, LoadPoint};
-use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
-use hypercast::{Algorithm, CacheStats, TreeCache};
+use crate::source::{CubeTrees, Separate, SessionSpan, Source};
+use crate::stats::BatchMeans;
+use hcube::{Cube, NodeId, Resolution, Router};
+use hypercast::{Algorithm, CacheStats, PortModel, TreeCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormsim::{
-    DepMessage, EngineScratch, FaultPlan, NetStats, NoopProbe, RunResult, SimParams, SimTime,
+    DepMessage, EngineScratch, FaultPlan, NetStats, NoopProbe, Probe, RunResult, SimParams, SimTime,
 };
 
 /// Configuration of one open-loop traffic run.
@@ -127,41 +129,16 @@ pub struct TrafficReport {
     pub horizon: SimTime,
 }
 
-impl TrafficReport {
-    /// This run as a point of a latency-vs-offered-load sweep.
-    #[must_use]
-    pub fn load_point(&self) -> LoadPoint {
-        LoadPoint {
-            offered: self.offered_rate_per_ms,
-            mean_latency_ms: self.latency.mean,
-            completion_ratio: self.completion_ratio,
-        }
-    }
-}
-
-/// A session's messages laid out in the shared workload. `pub(crate)`
-/// so the telemetry layer can attribute engine results back to
-/// sessions without re-deriving the layout.
-#[derive(Clone, Debug)]
-pub(crate) struct SessionSpan {
-    pub(crate) arrival: SimTime,
-    pub(crate) range: std::ops::Range<usize>,
-    pub(crate) dests: Vec<NodeId>,
-    /// Whether this session's tree came out of the [`TreeCache`]
-    /// (always `false` for separate addressing, which builds no trees).
-    pub(crate) cache_hit: bool,
-}
-
 /// A fully assembled traffic run, ready to simulate: the windowed
 /// dependency workload plus the bookkeeping needed to attribute the
 /// results back to sessions.
 ///
-/// Produced by [`assemble_cube_sessions`] / [`assemble_separate_sessions_on`]
-/// and consumed (by reference — the same assembly can be replayed any
-/// number of times) by [`run_sessions_on_with_scratch`]. Splitting
-/// assembly from simulation is what lets the `engine_bench` harness
-/// time the engine hot path alone, without tree construction or report
-/// assembly diluting the measurement.
+/// Produced by [`assemble`] and consumed (by reference — the same
+/// assembly can be replayed any number of times) by
+/// [`run_sessions_on_with_scratch`]. Splitting assembly from simulation
+/// is what lets the benchmark harnesses time the engine hot path alone,
+/// without tree construction or report assembly diluting the
+/// measurement.
 #[derive(Clone, Debug)]
 pub struct SessionWorkload {
     workload: Vec<DepMessage>,
@@ -187,21 +164,6 @@ impl SessionWorkload {
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
-    }
-
-    /// Assembles a workload from raw parts. `pub(crate)` so sibling
-    /// session builders (the collective engine) can lay out their own
-    /// spans without widening the field visibility.
-    pub(crate) fn from_parts(
-        workload: Vec<DepMessage>,
-        spans: Vec<SessionSpan>,
-        cache: CacheStats,
-    ) -> SessionWorkload {
-        SessionWorkload {
-            workload,
-            spans,
-            cache,
-        }
     }
 
     /// The `i`-th session extracted as a standalone workload: its slice
@@ -232,36 +194,148 @@ impl SessionWorkload {
     }
 }
 
-/// Appends one session's tree unicasts to `workload` (deps offset to
-/// the session's base, `min_start` = arrival). Shared with the chaos
-/// engine, whose retry waves lay out the same per-session batches.
-pub(crate) fn push_tree_session(
-    workload: &mut Vec<DepMessage>,
-    tree: &hypercast::MulticastTree,
-    bytes: u32,
-    arrival: SimTime,
-) -> std::ops::Range<usize> {
-    let base = workload.len();
-    let mut inbound: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-    for (i, u) in tree.unicasts.iter().enumerate() {
-        inbound.insert(u.dst, base + i);
+/// The one schedule-and-draw loop of every traffic run: seeds the
+/// spec's RNG, draws the arrival schedule, and hands each session to
+/// `each` in arrival order — `(rng, index, arrival)`, with the RNG
+/// positioned for that session's destination draw. Plain and chaos runs
+/// of one spec therefore see the same sessions. Returns the schedule.
+pub(crate) fn for_each_session(
+    spec: &TrafficSpec,
+    mut each: impl FnMut(&mut StdRng, usize, SimTime),
+) -> Vec<SimTime> {
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
+    for (i, &arrival) in schedule.iter().enumerate() {
+        each(&mut rng, i, arrival);
     }
-    for u in &tree.unicasts {
-        workload.push(DepMessage {
-            src: u.src,
-            dst: u.dst,
-            bytes,
-            deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-            min_start: arrival,
-        });
+    schedule
+}
+
+/// Assembles the windowed workload of a traffic run without simulating
+/// it: the arrival schedule, then every session laid out by `source`
+/// (trees built for `port` through one [`TreeCache`] of the spec's
+/// capacity).
+///
+/// Deterministic for identical inputs; [`run`] is exactly this followed
+/// by [`run_sessions_on_with_scratch`].
+///
+/// # Panics
+/// On invalid pattern draws (the [`DestPattern`] contracts) or a
+/// malformed [`DestPattern::Fixed`] set (duplicate or
+/// out-of-range destinations — the errors tree construction surfaces
+/// through the cache).
+#[must_use]
+pub fn assemble<S: Source>(spec: &TrafficSpec, source: &S, port: PortModel) -> SessionWorkload {
+    let mut cache = TreeCache::new(spec.cache_capacity);
+    let mut workload: Vec<DepMessage> = Vec::new();
+    let mut spans = Vec::with_capacity(spec.sessions);
+    for_each_session(spec, |rng, i, arrival| {
+        spans.push(source.session(spec, port, rng, i, arrival, &mut cache, &mut workload));
+    });
+    SessionWorkload {
+        workload,
+        spans,
+        cache: cache.stats(),
     }
-    base..workload.len()
+}
+
+/// Runs open-loop traffic from `source`: every session of the spec is
+/// laid out into one shared workload and simulated in one contended
+/// network under the spec's observation window. Reusing `scratch`
+/// across runs (the sweep hot path) is byte-invisible: the route memo
+/// restamps itself when the router changes.
+///
+/// Fully deterministic: identical inputs give byte-identical reports.
+///
+/// # Panics
+/// See [`assemble`].
+#[must_use]
+pub fn run<S: Source>(
+    spec: &TrafficSpec,
+    source: &S,
+    params: &SimParams,
+    scratch: &mut EngineScratch,
+) -> TrafficReport {
+    let sessions = assemble(spec, source, params.port_model);
+    run_sessions_on_with_scratch(spec, source.router(), &sessions, params, scratch)
+}
+
+/// [`assemble`] of [`CubeTrees`]. Kept by name because the repository
+/// benchmark (`perfbench/`) links it.
+#[must_use]
+pub fn assemble_cube_sessions(
+    spec: &TrafficSpec,
+    cube: Cube,
+    resolution: Resolution,
+    algo: Algorithm,
+    params: &SimParams,
+) -> SessionWorkload {
+    assemble(
+        spec,
+        &CubeTrees::new(cube, resolution, algo),
+        params.port_model,
+    )
+}
+
+/// [`assemble`] of [`Separate`] addressing on `router`. Kept by name
+/// because the repository benchmark (`perfbench/`) links it.
+#[must_use]
+pub fn assemble_separate_sessions_on<R: Router + Copy>(
+    spec: &TrafficSpec,
+    router: &R,
+) -> SessionWorkload {
+    // Separate addressing builds no trees, so the port model is unused.
+    assemble(spec, &Separate(*router), PortModel::AllPort)
+}
+
+/// Simulates a pre-assembled [`SessionWorkload`] on `router` under the
+/// spec's observation window, observed by `probe`.
+pub(crate) fn simulate<R: Router, P: Probe>(
+    spec: &TrafficSpec,
+    router: R,
+    sessions: &SessionWorkload,
+    params: &SimParams,
+    probe: &mut P,
+    scratch: &mut EngineScratch,
+) -> RunResult {
+    wormsim::run(
+        router,
+        params,
+        &sessions.workload,
+        FaultPlan::none().deadline_all(spec.horizon),
+        probe,
+        scratch,
+    )
+    .expect("windowed traffic runs cannot deadlock")
+}
+
+/// Simulates a pre-assembled [`SessionWorkload`] under the spec's
+/// observation window and attributes the results back to sessions: the
+/// core runner behind [`run`].
+///
+/// This is the engine hot path in isolation: the same assembly can be
+/// replayed any number of times (the `engine_bench` harness does
+/// exactly that, cold vs warm), and replaying through one scratch is
+/// byte-identical to a fresh run.
+///
+/// # Panics
+/// If `sessions` references nodes outside `router`'s topology.
+#[must_use]
+pub fn run_sessions_on_with_scratch<R: Router>(
+    spec: &TrafficSpec,
+    router: R,
+    sessions: &SessionWorkload,
+    params: &SimParams,
+    scratch: &mut EngineScratch,
+) -> TrafficReport {
+    let run = simulate(spec, router, sessions, params, &mut NoopProbe, scratch);
+    report(spec, &run, &sessions.spans, sessions.cache)
 }
 
 /// Attributes a finished run back to its sessions and assembles the
-/// report. `pub(crate)` so the telemetry entry points can assemble the
-/// identical report from an *observed* run of the same workload.
-pub(crate) fn assemble(
+/// report. `pub(crate)` so the telemetry layer can build the identical
+/// report from an *observed* run of the same workload.
+pub(crate) fn report(
     spec: &TrafficSpec,
     run: &RunResult,
     spans: &[SessionSpan],
@@ -332,217 +406,6 @@ pub(crate) fn assemble(
     }
 }
 
-/// Runs open-loop multicast traffic on a hypercube: every session
-/// builds (or cache-hits) an `algo` tree and replays it with the
-/// session's arrival as `min_start`.
-///
-/// Fully deterministic: identical `(spec, cube, resolution, algo,
-/// params)` give byte-identical reports.
-///
-/// # Panics
-/// On invalid pattern draws (the [`DestPattern`] contracts) or a
-/// malformed [`DestPattern::Fixed`] set (duplicate or out-of-range
-/// destinations — the same panics as [`Algorithm::build`] would
-/// surface through the cache).
-#[must_use]
-pub fn run_cube(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-) -> TrafficReport {
-    let mut scratch = EngineScratch::new();
-    run_cube_with_scratch(spec, cube, resolution, algo, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_cube`]: the sweep hot path. One
-/// [`EngineScratch`] per worker lets every session of every load point
-/// replay into the same arenas — and, through the scratch's route
-/// memo, recurring sessions (the [`TreeCache`] hit path) never
-/// recompute an E-cube route. Reports are byte-identical to
-/// [`run_cube`].
-///
-/// # Panics
-/// See [`run_cube`].
-#[must_use]
-pub fn run_cube_with_scratch(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport {
-    let sessions = assemble_cube_sessions(spec, cube, resolution, algo, params);
-    run_sessions_on_with_scratch(
-        spec,
-        Ecube::new(cube, resolution),
-        &sessions,
-        params,
-        scratch,
-    )
-}
-
-/// Assembles the windowed workload of a hypercube traffic run without
-/// simulating it: arrival schedule, per-session tree builds (through
-/// the [`TreeCache`]), and dependency wiring.
-///
-/// Deterministic for identical inputs; [`run_cube`] is exactly this
-/// followed by [`run_sessions_on_with_scratch`].
-///
-/// # Panics
-/// See [`run_cube`].
-#[must_use]
-pub fn assemble_cube_sessions(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-) -> SessionWorkload {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut cache = TreeCache::new(spec.cache_capacity);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    for &arrival in &schedule {
-        let (source, dests) = spec.pattern.draw_cube(&mut rng, cube);
-        let before = cache.stats();
-        let tree = cache
-            .get_or_build(algo, cube, resolution, params.port_model, source, &dests)
-            .expect("traffic destination draw produced an invalid multicast");
-        let cache_hit = cache.stats().since(before).hits > 0;
-        let range = push_tree_session(&mut workload, &tree, spec.bytes, arrival);
-        // Deliveries are attributed in tree (unicast) order.
-        let dests_in_tree_order: Vec<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();
-        spans.push(SessionSpan {
-            arrival,
-            range,
-            dests: dests_in_tree_order,
-            cache_hit,
-        });
-    }
-    SessionWorkload {
-        workload,
-        spans,
-        cache: cache.stats(),
-    }
-}
-
-/// Simulates a pre-assembled [`SessionWorkload`] under the spec's
-/// observation window and attributes the results back to sessions.
-///
-/// This is the engine hot path in isolation: the same assembly can be
-/// replayed any number of times (the `engine_bench` harness does
-/// exactly that, cold vs warm), and replaying through one scratch is
-/// byte-identical to a fresh run.
-///
-/// # Panics
-/// If `sessions` references nodes outside `router`'s topology.
-#[must_use]
-pub fn run_sessions_on_with_scratch<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    sessions: &SessionWorkload,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport {
-    let run = wormsim::run(
-        router,
-        params,
-        &sessions.workload,
-        FaultPlan::none().deadline_all(spec.horizon),
-        &mut NoopProbe,
-        scratch,
-    )
-    .expect("windowed traffic runs cannot deadlock");
-    assemble(spec, &run, &sessions.spans, sessions.cache)
-}
-
-/// Runs open-loop **separate-addressing** traffic on any routed
-/// topology: each session sends one independent unicast per destination
-/// (no tree, no cache). This is the backend the torus uses — the
-/// paper's tree algorithms are hypercube-specific.
-///
-/// # Panics
-/// On invalid pattern draws, including [`DestPattern::SubcubeBiased`]
-/// (hypercube-only; see [`DestPattern::is_topology_generic`]).
-#[must_use]
-pub fn run_separate_on<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    run_separate_on_with_scratch(spec, router, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_separate_on`]: same semantics, reused engine
-/// arenas and memoized routes. Reports are byte-identical to
-/// [`run_separate_on`].
-///
-/// # Panics
-/// See [`run_separate_on`].
-#[must_use]
-pub fn run_separate_on_with_scratch<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
-    let sessions = assemble_separate_sessions_on(spec, &router);
-    run_sessions_on_with_scratch(spec, router, &sessions, params, scratch)
-}
-
-/// Assembles the windowed workload of a separate-addressing traffic run
-/// on any routed topology (one independent unicast per destination, no
-/// trees) without simulating it.
-///
-/// # Panics
-/// See [`run_separate_on`].
-#[must_use]
-pub fn assemble_separate_sessions_on<R: Router>(spec: &TrafficSpec, router: &R) -> SessionWorkload
-where
-    R::Topo: Topology,
-{
-    let topo = router.topology();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    for &arrival in &schedule {
-        let (source, dests) = spec.pattern.draw_on(&mut rng, &topo);
-        let base = workload.len();
-        for &dst in &dests {
-            workload.push(DepMessage {
-                src: source,
-                dst,
-                bytes: spec.bytes,
-                deps: vec![],
-                min_start: arrival,
-            });
-        }
-        spans.push(SessionSpan {
-            arrival,
-            range: base..workload.len(),
-            dests,
-            cache_hit: false,
-        });
-    }
-    SessionWorkload {
-        workload,
-        spans,
-        cache: CacheStats::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,24 +422,21 @@ mod tests {
         )
     }
 
+    fn trees(algo: Algorithm) -> CubeTrees {
+        CubeTrees::new(Cube::of(5), Resolution::HighToLow, algo)
+    }
+
+    /// A run on a fresh scratch.
+    fn fresh<S: Source>(spec: &TrafficSpec, source: &S, params: &SimParams) -> TrafficReport {
+        run(spec, source, params, &mut EngineScratch::new())
+    }
+
     #[test]
     fn cube_run_is_byte_deterministic() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 40, 11);
-        let a = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let b = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let a = fresh(&s, &trees(Algorithm::WSort), &params);
+        let b = fresh(&s, &trees(Algorithm::WSort), &params);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(a.sessions.len(), 40);
         assert_eq!(a.measured_sessions, 36);
@@ -585,20 +445,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let a = run_cube(
-            &spec(2.0, 30, 1),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let b = run_cube(
-            &spec(2.0, 30, 2),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let a = fresh(&spec(2.0, 30, 1), &trees(Algorithm::WSort), &params);
+        let b = fresh(&spec(2.0, 30, 2), &trees(Algorithm::WSort), &params);
         assert_ne!(format!("{:?}", a.sessions), format!("{:?}", b.sessions));
     }
 
@@ -609,13 +457,7 @@ mod tests {
         let pool = DestPattern::uniform_pool(&mut rng, &Cube::of(5), 4, 6);
         let mut s = TrafficSpec::new(Arrivals::new(ArrivalProcess::Poisson, 1.0), pool, 50, 7);
         s.cache_capacity = 16;
-        let r = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = fresh(&s, &trees(Algorithm::WSort), &params);
         assert!(r.cache.hits > 0, "pool workload must hit the cache");
         assert!(r.cache.misses <= 4, "at most one miss per distinct group");
         assert!(r.cache.hit_rate() > 0.5);
@@ -624,13 +466,7 @@ mod tests {
     #[test]
     fn light_load_completes_everything() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let r = run_cube(
-            &spec(0.5, 30, 5),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = fresh(&spec(0.5, 30, 5), &trees(Algorithm::WSort), &params);
         assert_eq!(r.completed_measured, r.measured_sessions);
         assert!((r.completion_ratio - 1.0).abs() < 1e-12);
         assert!(r.latency.mean > 0.0);
@@ -643,13 +479,8 @@ mod tests {
         let params = SimParams::ncube2(PortModel::OnePort);
         let mut s = spec(2000.0, 200, 5);
         s.horizon = SimTime::from_ms(2);
-        let r = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::Separate,
-            &params,
-        );
+        let source = CubeTrees::new(Cube::of(5), Resolution::HighToLow, Algorithm::Separate);
+        let r = fresh(&s, &source, &params);
         assert!(
             r.completion_ratio < 1.0,
             "an impossible load must overflow the window (ratio {})",
@@ -662,25 +493,12 @@ mod tests {
     fn scratch_reuse_reports_are_byte_identical() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 40, 11);
-        let fresh = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let fresh_run = fresh(&s, &trees(Algorithm::WSort), &params);
         let mut scratch = EngineScratch::new();
         for _ in 0..2 {
-            let again = run_cube_with_scratch(
-                &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                &mut scratch,
-            );
+            let again = run(&s, &trees(Algorithm::WSort), &params, &mut scratch);
             assert_eq!(
-                format!("{fresh:?}"),
+                format!("{fresh_run:?}"),
                 format!("{again:?}"),
                 "scratch-reuse run diverged from the fresh-allocation run"
             );
@@ -691,25 +509,18 @@ mod tests {
         );
         // The same scratch then serves a *different* router type: the
         // memo restamps and the torus report still matches fresh.
-        let torus = Torus::of(4, 2);
+        let torus = Separate(TorusRouter::new(Torus::of(4, 2)));
         let ts = spec(1.0, 25, 9);
-        let fresh = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let again =
-            run_separate_on_with_scratch(&ts, TorusRouter::new(torus), &params, &mut scratch);
-        assert_eq!(format!("{fresh:?}"), format!("{again:?}"));
+        let fresh_run = fresh(&ts, &torus, &params);
+        let again = run(&ts, &torus, &params, &mut scratch);
+        assert_eq!(format!("{fresh_run:?}"), format!("{again:?}"));
     }
 
     #[test]
     fn session_extraction_rebases_deps_and_start_times() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 12, 11);
-        let assembly = assemble_cube_sessions(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let assembly = assemble(&s, &trees(Algorithm::WSort), params.port_model);
         let mut total = 0;
         for i in 0..assembly.sessions() {
             let w = assembly.session_workload(i);
@@ -743,10 +554,10 @@ mod tests {
     #[test]
     fn torus_backend_runs_separate_addressing() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let torus = Torus::of(4, 2);
+        let torus = Separate(TorusRouter::new(Torus::of(4, 2)));
         let s = spec(1.0, 25, 9);
-        let a = run_separate_on(&s, TorusRouter::new(torus), &params);
-        let b = run_separate_on(&s, TorusRouter::new(torus), &params);
+        let a = fresh(&s, &torus, &params);
+        let b = fresh(&s, &torus, &params);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(a.cache, CacheStats::default(), "no trees, no cache traffic");
         assert!(a.completed_measured > 0);

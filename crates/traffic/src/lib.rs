@@ -18,25 +18,31 @@
 //!   subcube-biased, hot-spot, or a finite [`DestPattern::Pool`] of
 //!   recurring groups (drawing through [`hcube::sampling`], the same
 //!   primitives the figure workloads use);
-//! * [`engine`] — the session scheduler: each arrival becomes a batch of
-//!   [`wormsim::DepMessage`]s whose `min_start` is the arrival time,
-//!   trees come from a [`hypercast::TreeCache`] (recurring groups are
-//!   pointer-clone hits), and the whole run executes as one
+//! * [`Source`] — *how* each session is sent, and on which router: tree
+//!   multicast on the cube ([`CubeTrees`], an [`hypercast::Algorithm`]
+//!   through a [`hypercast::TreeCache`], where recurring groups are
+//!   pointer-clone hits), separate addressing on any router
+//!   ([`Separate`]), or a full-machine collective per session
+//!   ([`CubeCollective`], [`SeparateCollective`]);
+//! * [`engine`] — the session scheduler: [`run`] lays every arrival out
+//!   through its source as a batch of [`wormsim::DepMessage`]s whose
+//!   `min_start` is the arrival time, and executes the whole run as one
 //!   [`wormsim::run`] inside an observation window (a global deadline
 //!   in its fault plan), so saturation cannot run away;
 //! * [`stats`] — steady-state output analysis: warmup truncation,
 //!   batch-means confidence intervals, throughput, and the
 //!   [`stats::saturation_point`] detector for latency-vs-load sweeps;
 //! * [`churn`] / [`chaos`] — online fault churn and self-healing
-//!   recovery: a seed-deterministic MTBF/MTTR failure/repair process
-//!   rendered into epoch-numbered fault plans, with faulted sessions
-//!   retried under exponential backoff through
-//!   [`hypercast::repair`](hypercast::repair::repair)-rebuilt trees,
+//!   recovery: [`run_chaos`] renders a seed-deterministic MTBF/MTTR
+//!   failure/repair process into epoch-numbered fault plans and retries
+//!   faulted sessions of a [`Multicast`] source under exponential
+//!   backoff (tree sources through
+//!   [`hypercast::repair`](hypercast::repair::repair)-rebuilt trees),
 //!   surfacing delivery ratio, goodput, retry distributions, and
 //!   time-to-recover;
-//! * [`telemetry`] — the flight recorder: every `*_with_telemetry`
-//!   entry point runs the same workload once, observed, returning the
-//!   byte-identical report **plus** per-session spans with an exact
+//! * [`telemetry`] — the flight recorder: [`run_with_telemetry`] and
+//!   [`run_chaos_with_telemetry`] run the same workload once, observed,
+//!   returning the byte-identical report **plus** per-session spans with an exact
 //!   latency decomposition (queueing / head-flit blocking / transit,
 //!   causally chained through retries) and a deterministic windowed
 //!   time-series (goodput, latency quantiles, cache hit rate, live
@@ -61,10 +67,10 @@
 //! ## Quick example
 //!
 //! ```
-//! use hcube::{Cube, Resolution};
+//! use hcube::{Cube, Resolution, Torus, TorusRouter};
 //! use hypercast::{Algorithm, PortModel};
-//! use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
-//! use wormsim::SimParams;
+//! use traffic::{ArrivalProcess, Arrivals, CubeTrees, DestPattern, Separate, TrafficSpec};
+//! use wormsim::{EngineScratch, SimParams};
 //!
 //! let spec = TrafficSpec::new(
 //!     Arrivals::new(ArrivalProcess::Poisson, 2.0), // 2 sessions/ms
@@ -72,12 +78,18 @@
 //!     50,
 //!     42,
 //! );
-//! let report = traffic::run_cube(
-//!     &spec, Cube::of(6), Resolution::HighToLow, Algorithm::WSort,
-//!     &SimParams::ncube2(PortModel::AllPort),
-//! );
+//! let params = SimParams::ncube2(PortModel::AllPort);
+//! let mut scratch = EngineScratch::new();
+//! let wsort = CubeTrees::new(Cube::of(6), Resolution::HighToLow, Algorithm::WSort);
+//! let report = traffic::run(&spec, &wsort, &params, &mut scratch);
 //! assert_eq!(report.sessions.len(), 50);
 //! assert!(report.completion_ratio > 0.0);
+//!
+//! // The same spec as separate addressing on a 4-ary 3-cube torus,
+//! // replayed through the same scratch.
+//! let torus = Separate(TorusRouter::new(Torus::of(4, 3)));
+//! let report = traffic::run(&spec, &torus, &params, &mut scratch);
+//! assert_eq!(report.cache.hits + report.cache.misses, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,35 +99,30 @@
 pub mod arrivals;
 pub mod chaos;
 pub mod churn;
-pub mod collective;
+mod collective;
 pub mod engine;
 pub mod patterns;
+mod source;
 pub mod stats;
 pub mod telemetry;
 pub mod trials;
 
 pub use arrivals::{ArrivalProcess, Arrivals};
 pub use chaos::{
-    run_chaos_cube, run_chaos_cube_on_timeline, run_chaos_cube_with_scratch, run_chaos_separate_on,
-    run_chaos_separate_on_with_scratch, ChaosReport, ChaosSession, ChaosSpec, RetriesExhausted,
+    run_chaos, run_chaos_cube, ChaosReport, ChaosSession, ChaosSpec, RetriesExhausted,
     SessionFailure,
 };
 pub use churn::ChurnSpec;
-pub use collective::{
-    assemble_collective_cube_sessions, run_collective_cube, run_collective_cube_with_scratch,
-    run_collective_separate_on,
-};
+pub use collective::{CubeCollective, SeparateCollective};
 pub use engine::{
-    assemble_cube_sessions, assemble_separate_sessions_on, run_cube, run_cube_with_scratch,
-    run_separate_on, run_separate_on_with_scratch, run_sessions_on_with_scratch, SessionRecord,
-    SessionWorkload, TrafficReport, TrafficSpec,
+    assemble, assemble_cube_sessions, assemble_separate_sessions_on, run,
+    run_sessions_on_with_scratch, SessionRecord, SessionWorkload, TrafficReport, TrafficSpec,
 };
 pub use patterns::DestPattern;
+pub use source::{CubeTrees, Multicast, Separate, Source};
 pub use stats::{saturation_point, BatchMeans, LoadPoint, Quantiles};
 pub use telemetry::{
-    run_chaos_cube_on_timeline_with_telemetry, run_chaos_cube_with_telemetry,
-    run_chaos_separate_with_telemetry_on, run_cube_with_telemetry, run_separate_with_telemetry_on,
-    AttemptSpan, PhaseBreakdown, SessionTrace, SpanOutcome, Telemetry, TelemetryBucket,
-    TelemetryConfig, TelemetryProbe, TimeSeries,
+    run_chaos_with_telemetry, run_with_telemetry, AttemptSpan, PhaseBreakdown, SessionTrace,
+    SpanOutcome, Telemetry, TelemetryBucket, TelemetryConfig, TelemetryProbe, TimeSeries,
 };
 pub use trials::run_trials;

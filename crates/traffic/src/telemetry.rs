@@ -1,8 +1,9 @@
 //! The flight recorder: session-level spans and windowed time-series
 //! telemetry over the traffic and chaos engines.
 //!
-//! Every `*_with_telemetry` entry point runs the **same workload as its
-//! plain counterpart, once, observed** — probes are statically
+//! [`run_with_telemetry`] and [`run_chaos_with_telemetry`] run the
+//! **same workload as [`run`](crate::run) and
+//! [`run_chaos`](crate::run_chaos), once, observed** — probes are statically
 //! dispatched and never perturb the engine (pinned by the byte-identity
 //! tests), so the returned report is byte-identical to the unobserved
 //! run and the telemetry is derived from the very same
@@ -48,19 +49,15 @@
 //! [`wormsim::json_escape`] instead of serde.
 
 use crate::chaos::{
-    classify, run_chaos_cube_on_timeline_telemetry, run_chaos_separate_telemetry_on_with_scratch,
-    Attempt, AttemptOutcome, ChaosReport, ChaosSpec, SessionFailure, WaveSpan, WaveTelemetry,
+    classify, run_recorded, Attempt, ChaosReport, ChaosSpec, SessionFailure, WaveTelemetry,
 };
-use crate::engine::{
-    assemble, assemble_cube_sessions, assemble_separate_sessions_on, SessionWorkload,
-    TrafficReport, TrafficSpec,
-};
+use crate::engine::{assemble, report, simulate, TrafficReport, TrafficSpec};
+use crate::source::{Multicast, Source, WaveSpan};
 use crate::stats::Quantiles;
-use hcube::{Cube, Ecube, Resolution, Router, Topology};
-use hypercast::Algorithm;
+use hcube::Router;
 use wormsim::{
-    json_escape, BlockedInterval, ChannelMap, EngineScratch, FaultEpoch, FaultPlan, FaultTimeline,
-    Histogram, MessageResult, MetricsRegistry, Probe, RunResult, SimParams, SimTime,
+    json_escape, BlockedInterval, ChannelMap, EngineScratch, FaultEpoch, FaultPlan, Histogram,
+    MessageResult, MetricsRegistry, Probe, RunResult, SimParams, SimTime,
 };
 
 /// Telemetry layer configuration.
@@ -330,11 +327,7 @@ impl Telemetry {
                         a.launch.as_ns(),
                         a.resolution.as_ns(),
                         a.outcome.label(),
-                        match a.cache_hit {
-                            Some(true) => "true",
-                            Some(false) => "false",
-                            None => "null",
-                        },
+                        json_opt_bool(a.cache_hit),
                         a.messages,
                         a.phases.queueing.as_ns(),
                         a.phases.blocked.as_ns(),
@@ -410,11 +403,7 @@ impl Telemetry {
                         a.number,
                         s.session,
                         a.outcome.label(),
-                        match a.cache_hit {
-                            Some(true) => "true",
-                            Some(false) => "false",
-                            None => "null",
-                        },
+                        json_opt_bool(a.cache_hit),
                         a.phases.queueing.as_ns(),
                         a.phases.blocked.as_ns(),
                         a.phases.transit.as_ns(),
@@ -598,13 +587,12 @@ fn decompose(launch: SimTime, msgs: &[MessageResult]) -> (SimTime, PhaseBreakdow
 
 /// Maps the chaos engine's attempt classification onto the span
 /// outcome vocabulary.
-fn outcome_of(outcome: &AttemptOutcome) -> SpanOutcome {
-    match outcome {
-        AttemptOutcome::Delivered => SpanOutcome::Delivered,
-        AttemptOutcome::WindowCut => SpanOutcome::WindowCut,
-        AttemptOutcome::Failed(SessionFailure::Faulted(_)) => SpanOutcome::Faulted,
-        AttemptOutcome::Failed(SessionFailure::Unreachable { .. }) => SpanOutcome::Unreachable,
-        AttemptOutcome::Failed(SessionFailure::WindowCut) => SpanOutcome::WindowCut,
+fn outcome_of(failure: Option<SessionFailure>) -> SpanOutcome {
+    match failure {
+        None => SpanOutcome::Delivered,
+        Some(SessionFailure::Faulted(_)) => SpanOutcome::Faulted,
+        Some(SessionFailure::Unreachable { .. }) => SpanOutcome::Unreachable,
+        Some(SessionFailure::WindowCut) => SpanOutcome::WindowCut,
     }
 }
 
@@ -716,166 +704,90 @@ fn build_series(
     }
 }
 
-/// Builds the traffic-path telemetry (single wave) from an observed
-/// run's message results and the probe's blocking intervals.
-fn traffic_telemetry<R: Router>(
+/// [`run`](crate::run) with the flight recorder attached: one observed
+/// engine run yields both the byte-identical [`TrafficReport`] and the
+/// derived [`Telemetry`] (one wave, one attempt per session). Sessions
+/// that look nothing up (separate addressing) carry `None` span cache
+/// fields and leave the series' cache counters at zero.
+///
+/// # Panics
+/// See [`assemble`].
+#[must_use]
+pub fn run_with_telemetry<S: Source>(
     spec: &TrafficSpec,
-    assembly: &SessionWorkload,
-    run: &RunResult,
-    intervals: &[BlockedInterval],
-    map: &ChannelMap<R>,
+    source: &S,
+    params: &SimParams,
     cfg: &TelemetryConfig,
-    lookups: bool,
-) -> Telemetry {
-    let traces: Vec<SessionTrace> = assembly
+    scratch: &mut EngineScratch,
+) -> (TrafficReport, Telemetry) {
+    let assembly = assemble(spec, source, params.port_model);
+    let mut recorder = Recorder::default();
+    let router = source.router();
+    let run = simulate(spec, router, &assembly, params, recorder.probe(), scratch);
+    let report = report(spec, &run, &assembly.spans, assembly.cache_stats());
+    // The whole run is one wave of first attempts.
+    let (attempts, spans): (Vec<Attempt>, Vec<WaveSpan>) = assembly
         .spans
         .iter()
         .enumerate()
-        .map(|(i, span)| {
-            let msgs = &run.messages[span.range.clone()];
-            let (resolution, phases) = decompose(span.arrival, msgs);
-            let outcome = outcome_of(&classify(msgs, 0));
-            SessionTrace {
-                session: i,
-                arrival: span.arrival,
-                completion: resolution,
-                delivered: outcome == SpanOutcome::Delivered,
-                backoff: SimTime::ZERO,
-                attempts: vec![AttemptSpan {
-                    number: 1,
-                    wave: 0,
-                    launch: span.arrival,
-                    resolution,
-                    outcome,
-                    cache_hit: lookups.then_some(span.cache_hit),
-                    messages: msgs.len(),
-                    phases,
-                }],
-            }
+        .map(|(session, span)| {
+            let attempt = Attempt {
+                session,
+                number: 1,
+                launch: span.arrival,
+                first_failure: None,
+            };
+            let range = span.range.clone();
+            (
+                attempt,
+                WaveSpan {
+                    range,
+                    missing: 0,
+                    cache_hit: span.cache_hit,
+                },
+            )
         })
-        .collect();
-    let blocked = classify_intervals(intervals, map);
-    let series = build_series(cfg, spec.horizon, map.dimensions(), &traces, &blocked, &[]);
-    Telemetry {
-        sessions: traces,
-        series,
-        waves: 1,
-    }
-}
-
-/// [`run_cube`](crate::run_cube) with the flight recorder attached: one
-/// observed engine run yields both the byte-identical [`TrafficReport`]
-/// and the derived [`Telemetry`].
-///
-/// # Panics
-/// See [`run_cube`](crate::run_cube).
-#[must_use]
-pub fn run_cube_with_telemetry(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (TrafficReport, Telemetry) {
-    let assembly = assemble_cube_sessions(spec, cube, resolution, algo, params);
-    let mut probe = TelemetryProbe::new();
-    let mut scratch = EngineScratch::new();
-    let run = wormsim::run(
-        Ecube::new(cube, resolution),
-        params,
-        assembly.messages(),
-        FaultPlan::none().deadline_all(spec.horizon),
-        &mut probe,
-        &mut scratch,
-    )
-    .expect("windowed traffic runs cannot deadlock");
-    let report = assemble(spec, &run, &assembly.spans, assembly.cache_stats());
-    let map = ChannelMap::new(Ecube::new(cube, resolution));
-    let intervals = probe.take_intervals();
-    let telemetry = traffic_telemetry(spec, &assembly, &run, &intervals, &map, cfg, true);
+        .unzip();
+    recorder.record_wave(&attempts, &spans, &run);
+    let sessions = report.sessions.iter();
+    // A session arriving past the horizon resolves at its arrival.
+    let ends = sessions.map(|s| (s.arrival, s.completion.max(s.arrival), s.delivered));
+    let telemetry = recorder.finish(ends, spec.horizon, &[], &ChannelMap::new(router), cfg);
     (report, telemetry)
 }
 
-/// [`run_separate_on`](crate::run_separate_on) with the flight recorder
-/// attached: observed separate-addressing traffic on any routed
-/// topology. No trees are built, so span cache fields are `None` and
-/// the series' cache counters stay zero.
-///
-/// # Panics
-/// See [`run_separate_on`](crate::run_separate_on).
-#[must_use]
-pub fn run_separate_with_telemetry_on<R: Router + Copy>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (TrafficReport, Telemetry)
-where
-    R::Topo: Topology,
-{
-    let assembly = assemble_separate_sessions_on(spec, &router);
-    let mut probe = TelemetryProbe::new();
-    let mut scratch = EngineScratch::new();
-    let run = wormsim::run(
-        router,
-        params,
-        assembly.messages(),
-        FaultPlan::none().deadline_all(spec.horizon),
-        &mut probe,
-        &mut scratch,
-    )
-    .expect("windowed traffic runs cannot deadlock");
-    let report = assemble(spec, &run, &assembly.spans, assembly.cache_stats());
-    let map = ChannelMap::new(router);
-    let intervals = probe.take_intervals();
-    let telemetry = traffic_telemetry(spec, &assembly, &run, &intervals, &map, cfg, false);
-    (report, telemetry)
-}
-
-/// The chaos-path collector: implements [`WaveTelemetry`] to record
-/// every wave's attempts and blocking intervals as the epoch loop runs.
-struct ChaosCollector {
+/// The flight recorder: implements [`WaveTelemetry`] to record every
+/// wave's attempts and blocking intervals as a run executes.
+#[derive(Default)]
+struct Recorder {
     probe: TelemetryProbe,
     waves: usize,
     /// `(session, span)` per simulated attempt, in wave order.
     attempts: Vec<(usize, AttemptSpan)>,
     intervals: Vec<BlockedInterval>,
-    /// Whether this path performs cache lookups (cube: yes; separate
-    /// addressing: no).
-    lookups: bool,
 }
 
-impl ChaosCollector {
-    fn new(lookups: bool) -> ChaosCollector {
-        ChaosCollector {
-            probe: TelemetryProbe::new(),
-            waves: 0,
-            attempts: Vec::new(),
-            intervals: Vec::new(),
-            lookups,
-        }
-    }
-
-    /// Assembles the final telemetry once the epoch loop has finished.
+impl Recorder {
+    /// Assembles the final telemetry once the run has finished, from
+    /// each session's `(arrival, completion, delivered)` in arrival
+    /// order and the fault epochs it ran under.
     fn finish<R: Router>(
         mut self,
-        report: &ChaosReport,
+        sessions: impl Iterator<Item = (SimTime, SimTime, bool)>,
+        horizon: SimTime,
         epochs: &[FaultEpoch],
         map: &ChannelMap<R>,
         cfg: &TelemetryConfig,
     ) -> Telemetry {
         self.attempts
             .sort_by_key(|(session, a)| (*session, a.number));
-        let mut traces: Vec<SessionTrace> = report
-            .sessions
-            .iter()
+        let mut traces: Vec<SessionTrace> = sessions
             .enumerate()
-            .map(|(i, s)| SessionTrace {
+            .map(|(i, (arrival, completion, delivered))| SessionTrace {
                 session: i,
-                arrival: s.arrival,
-                completion: s.completion,
-                delivered: s.delivered,
+                arrival,
+                completion,
+                delivered,
                 backoff: SimTime::ZERO,
                 attempts: Vec::new(),
             })
@@ -892,14 +804,8 @@ impl ChaosCollector {
             .iter()
             .map(|e| (e.start.as_ns(), live_faults(&e.plan)))
             .collect();
-        let series = build_series(
-            cfg,
-            report.horizon,
-            map.dimensions(),
-            &traces,
-            &blocked,
-            &epoch_counts,
-        );
+        let dims = map.dimensions();
+        let series = build_series(cfg, horizon, dims, &traces, &blocked, &epoch_counts);
         Telemetry {
             sessions: traces,
             series,
@@ -908,26 +814,20 @@ impl ChaosCollector {
     }
 }
 
-impl WaveTelemetry for ChaosCollector {
+impl WaveTelemetry for Recorder {
     type P = TelemetryProbe;
 
     fn probe(&mut self) -> &mut TelemetryProbe {
         &mut self.probe
     }
 
-    fn record_wave(
-        &mut self,
-        attempts: &[Attempt],
-        spans: &[WaveSpan],
-        run: &RunResult,
-        _plan: &FaultPlan,
-    ) {
+    fn record_wave(&mut self, attempts: &[Attempt], spans: &[WaveSpan], run: &RunResult) {
         let wave = self.waves;
         self.waves += 1;
         for (attempt, span) in attempts.iter().zip(spans) {
             let msgs = &run.messages[span.range.clone()];
             let (resolution, phases) = decompose(attempt.launch, msgs);
-            let outcome = outcome_of(&classify(msgs, span.missing));
+            let outcome = outcome_of(classify(msgs, span.missing));
             self.attempts.push((
                 attempt.session,
                 AttemptSpan {
@@ -936,7 +836,7 @@ impl WaveTelemetry for ChaosCollector {
                     launch: attempt.launch,
                     resolution,
                     outcome,
-                    cache_hit: self.lookups.then_some(span.cache_hit),
+                    cache_hit: span.cache_hit,
                     messages: msgs.len(),
                     phases,
                 },
@@ -946,90 +846,36 @@ impl WaveTelemetry for ChaosCollector {
     }
 }
 
-/// [`run_chaos_cube`](crate::run_chaos_cube) with the flight recorder
-/// attached: the byte-identical [`ChaosReport`] plus per-attempt spans
-/// (causally chained through the retry/repair machinery) and the
-/// windowed time-series, whose goodput dip and refill around each fault
-/// epoch is the run's time-to-recover made visible.
+/// [`run_chaos`](crate::run_chaos) with the flight recorder attached:
+/// the byte-identical [`ChaosReport`] plus per-attempt spans (causally
+/// chained through the retry/repair machinery) and the windowed
+/// time-series, whose goodput dip and refill around each fault epoch is
+/// the run's time-to-recover made visible.
 ///
 /// # Panics
-/// See [`run_chaos_cube`](crate::run_chaos_cube).
+/// See [`run_chaos`](crate::run_chaos).
 #[must_use]
-pub fn run_chaos_cube_with_telemetry(
+pub fn run_chaos_with_telemetry<S: Multicast>(
     spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
+    source: &S,
     params: &SimParams,
     cfg: &TelemetryConfig,
+    scratch: &mut EngineScratch,
 ) -> (ChaosReport, Telemetry) {
-    let timeline = spec.churn.timeline_on(&cube, spec.traffic.seed);
-    run_chaos_cube_on_timeline_with_telemetry(spec, cube, resolution, algo, params, &timeline, cfg)
-}
-
-/// [`run_chaos_cube_with_telemetry`] against an explicit, already
-/// rendered fault timeline (scripted outages, tests).
-///
-/// # Panics
-/// See [`run_chaos_cube`](crate::run_chaos_cube).
-#[must_use]
-pub fn run_chaos_cube_on_timeline_with_telemetry(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    timeline: &FaultTimeline,
-    cfg: &TelemetryConfig,
-) -> (ChaosReport, Telemetry) {
-    let mut scratch = EngineScratch::new();
-    let mut collector = ChaosCollector::new(true);
-    let report = run_chaos_cube_on_timeline_telemetry(
-        spec,
-        cube,
-        resolution,
-        algo,
-        params,
-        timeline,
-        &mut scratch,
-        &mut collector,
-    );
-    let map = ChannelMap::new(Ecube::new(cube, resolution));
-    let telemetry = collector.finish(&report, &timeline.epochs(), &map, cfg);
+    let mut recorder = Recorder::default();
+    let (report, timeline) = run_recorded(spec, source, params, scratch, &mut recorder);
+    let ends = report
+        .sessions
+        .iter()
+        .map(|s| (s.arrival, s.completion, s.delivered));
+    let map = ChannelMap::new(source.router());
+    let telemetry = recorder.finish(ends, report.horizon, &timeline.epochs(), &map, cfg);
     (report, telemetry)
 }
 
-/// [`run_chaos_separate_on`](crate::run_chaos_separate_on) with the
-/// flight recorder attached.
-///
-/// # Panics
-/// See [`run_chaos_separate_on`](crate::run_chaos_separate_on).
-#[must_use]
-pub fn run_chaos_separate_with_telemetry_on<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (ChaosReport, Telemetry)
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    let mut collector = ChaosCollector::new(false);
-    let report = run_chaos_separate_telemetry_on_with_scratch(
-        spec,
-        router,
-        params,
-        &mut scratch,
-        &mut collector,
-    );
-    let topo = router.topology();
-    let timeline = spec
-        .churn
-        .timeline_on_lanes(&topo, router.lanes(), spec.traffic.seed);
-    let map = ChannelMap::new(router);
-    let telemetry = collector.finish(&report, &timeline.epochs(), &map, cfg);
-    (report, telemetry)
+/// A JSON boolean, `null` for `None`.
+fn json_opt_bool(v: Option<bool>) -> &'static str {
+    v.map_or("null", |b| if b { "true" } else { "false" })
 }
 
 /// JSON float formatting: shortest round-trip for finite values, `null`
@@ -1062,12 +908,31 @@ fn format_us(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
-    use crate::chaos::run_chaos_cube;
     use crate::churn::ChurnSpec;
-    use crate::engine::{run_cube, run_separate_on};
     use crate::patterns::DestPattern;
-    use hcube::{Torus, TorusRouter};
-    use hypercast::PortModel;
+    use crate::source::{CubeTrees, Separate};
+    use hcube::{Cube, Resolution, Torus, TorusRouter};
+    use hypercast::{Algorithm, PortModel};
+
+    fn wsort5() -> CubeTrees {
+        CubeTrees::new(Cube::of(5), Resolution::HighToLow, Algorithm::WSort)
+    }
+
+    /// An observed run on a fresh scratch.
+    fn observed<S: Source>(
+        spec: &TrafficSpec,
+        source: &S,
+        cfg: &TelemetryConfig,
+    ) -> (TrafficReport, Telemetry) {
+        let params = SimParams::ncube2(PortModel::AllPort);
+        run_with_telemetry(spec, source, &params, cfg, &mut EngineScratch::new())
+    }
+
+    /// An observed chaos run of [`wsort5`] on a fresh scratch.
+    fn observed_chaos(spec: &ChaosSpec, cfg: &TelemetryConfig) -> (ChaosReport, Telemetry) {
+        let params = SimParams::ncube2(PortModel::AllPort);
+        run_chaos_with_telemetry(spec, &wsort5(), &params, cfg, &mut EngineScratch::new())
+    }
 
     fn spec(rate: f64, sessions: usize, seed: u64) -> TrafficSpec {
         TrafficSpec::new(
@@ -1093,21 +958,8 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         for rate in [2.0, 60.0] {
             let s = spec(rate, 40, 11);
-            let plain = run_cube(
-                &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-            );
-            let (observed, tel) = run_cube_with_telemetry(
-                &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                &TelemetryConfig::default(),
-            );
+            let plain = crate::run(&s, &wsort5(), &params, &mut EngineScratch::new());
+            let (observed, tel) = observed(&s, &wsort5(), &TelemetryConfig::default());
             assert_eq!(format!("{plain:?}"), format!("{observed:?}"), "rate {rate}");
             assert_eq!(tel.sessions.len(), plain.sessions.len());
             assert_eq!(tel.waves, 1);
@@ -1116,16 +968,8 @@ mod tests {
 
     #[test]
     fn span_decomposition_sums_exactly_to_the_reported_latency() {
-        let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(30.0, 60, 7);
-        let (report, tel) = run_cube_with_telemetry(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &TelemetryConfig::default(),
-        );
+        let (report, tel) = observed(&s, &wsort5(), &TelemetryConfig::default());
         assert!(
             report.net.blocked_time > SimTime::ZERO,
             "this load must produce contention"
@@ -1156,20 +1000,12 @@ mod tests {
 
     #[test]
     fn bucket_sums_reconcile_with_the_aggregate_report() {
-        let params = SimParams::ncube2(PortModel::AllPort);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         use rand::SeedableRng;
         let pool = DestPattern::uniform_pool(&mut rng, &Cube::of(5), 4, 6);
         let mut s = TrafficSpec::new(Arrivals::new(ArrivalProcess::Poisson, 30.0), pool, 80, 7);
         s.cache_capacity = 16;
-        let (report, tel) = run_cube_with_telemetry(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &TelemetryConfig::new(16),
-        );
+        let (report, tel) = observed(&s, &wsort5(), &TelemetryConfig::new(16));
         let b = &tel.series.buckets;
         assert_eq!(b.len(), 16);
         assert_eq!(
@@ -1203,21 +1039,8 @@ mod tests {
         let mut ts = spec(2.0, 60, 3);
         ts.horizon = SimTime::from_ms(60);
         let cspec = ChaosSpec::new(ts, churny(SimTime::from_ms(15)));
-        let plain = run_chaos_cube(
-            &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let (observed, tel) = run_chaos_cube_with_telemetry(
-            &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &TelemetryConfig::new(20),
-        );
+        let plain = crate::run_chaos(&cspec, &wsort5(), &params, &mut EngineScratch::new());
+        let (observed, tel) = observed_chaos(&cspec, &TelemetryConfig::new(20));
         assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
         // Quiet epochs simulate no wave and retry bursts can add extra
         // waves within one epoch, so no fixed relation to the epoch
@@ -1266,15 +1089,10 @@ mod tests {
     #[test]
     fn separate_addressing_telemetry_has_no_cache_activity() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let torus = Torus::of(4, 2);
+        let torus = Separate(TorusRouter::new(Torus::of(4, 2)));
         let ts = spec(1.0, 25, 9);
-        let plain = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let (observed, tel) = run_separate_with_telemetry_on(
-            &ts,
-            TorusRouter::new(torus),
-            &params,
-            &TelemetryConfig::default(),
-        );
+        let plain = crate::run(&ts, &torus, &params, &mut EngineScratch::new());
+        let (observed, tel) = observed(&ts, &torus, &TelemetryConfig::default());
         assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
         assert!(tel
             .sessions
@@ -1290,15 +1108,7 @@ mod tests {
 
     #[test]
     fn exporters_emit_wellformed_documents() {
-        let params = SimParams::ncube2(PortModel::AllPort);
-        let (_, tel) = run_cube_with_telemetry(
-            &spec(10.0, 30, 5),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &TelemetryConfig::new(8),
-        );
+        let (_, tel) = observed(&spec(10.0, 30, 5), &wsort5(), &TelemetryConfig::new(8));
         let spans = tel.spans_to_json_string();
         assert!(spans.starts_with('{') && spans.trim_end().ends_with('}'));
         assert!(spans.contains("\"schema\": \"telemetry-spans/v1\""));
@@ -1322,18 +1132,10 @@ mod tests {
     fn time_to_recover_is_visible_as_a_goodput_dip_and_refill() {
         // A scripted mid-window outage: goodput must dip while the
         // victim is down and refill after it revives.
-        let params = SimParams::ncube2(PortModel::AllPort);
         let mut ts = spec(4.0, 120, 17);
         ts.horizon = SimTime::from_ms(40);
         let cspec = ChaosSpec::new(ts, churny(SimTime::from_ms(12)));
-        let (report, tel) = run_chaos_cube_with_telemetry(
-            &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-            &TelemetryConfig::new(20),
-        );
+        let (report, tel) = observed_chaos(&cspec, &TelemetryConfig::new(20));
         assert!(report.fault_events > 0);
         let b = &tel.series.buckets;
         let churn_active: Vec<&TelemetryBucket> = b.iter().filter(|x| x.live_faults > 0).collect();

@@ -6,10 +6,17 @@
 
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
-use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
+use traffic::{
+    ArrivalProcess, Arrivals, CubeTrees, DestPattern, Separate, Source, TrafficReport, TrafficSpec,
+};
 use wormsim::{
     simulate_multicast, DepMessage, EngineScratch, FaultPlan, NoopProbe, SimParams, SimTime,
 };
+
+/// A traffic run on a fresh scratch.
+fn run<S: Source>(spec: &TrafficSpec, source: &S, params: &SimParams) -> TrafficReport {
+    traffic::run(spec, source, params, &mut EngineScratch::new())
+}
 
 fn one_shot_spec(source: NodeId, dests: Vec<NodeId>) -> TrafficSpec {
     let mut spec = TrafficSpec::new(
@@ -46,7 +53,8 @@ fn zero_load_cube_run_matches_simulate_multicast_byte_for_byte() {
         let single = simulate_multicast(&tree, &params, 4096);
 
         let spec = one_shot_spec(NodeId(5), dests.clone());
-        let report = traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params);
+        let trees = CubeTrees::new(cube, Resolution::HighToLow, algo);
+        let report = run(&spec, &trees, &params);
 
         assert_eq!(report.sessions.len(), 1, "{algo:?}");
         let session = &report.sessions[0];
@@ -94,7 +102,7 @@ fn zero_load_torus_run_matches_simulate_on_byte_for_byte() {
     .expect("separate addressing on the torus cannot deadlock");
 
     let spec = one_shot_spec(source, dests.clone());
-    let report = traffic::run_separate_on(&spec, TorusRouter::new(torus), &params);
+    let report = run(&spec, &Separate(TorusRouter::new(torus)), &params);
 
     let session = &report.sessions[0];
     assert!(session.delivered);
@@ -129,24 +137,14 @@ fn traffic_reports_are_byte_deterministic_across_backends() {
             30,
             4242,
         );
-        let a = traffic::run_cube(
-            &spec,
-            Cube::of(6),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let b = traffic::run_cube(
-            &spec,
-            Cube::of(6),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let wsort = CubeTrees::new(Cube::of(6), Resolution::HighToLow, Algorithm::WSort);
+        let a = run(&spec, &wsort, &params);
+        let b = run(&spec, &wsort, &params);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{process}");
 
-        let t1 = traffic::run_separate_on(&spec, TorusRouter::new(Torus::of(4, 3)), &params);
-        let t2 = traffic::run_separate_on(&spec, TorusRouter::new(Torus::of(4, 3)), &params);
+        let torus = Separate(TorusRouter::new(Torus::of(4, 3)));
+        let t1 = run(&spec, &torus, &params);
+        let t2 = run(&spec, &torus, &params);
         assert_eq!(format!("{t1:?}"), format!("{t2:?}"), "{process}");
     }
 }

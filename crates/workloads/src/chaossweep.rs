@@ -25,8 +25,8 @@ use crate::sweep::default_workers;
 use crate::trafficsweep::{pool, pool_spec, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, CacheStats, RetryPolicy};
-use traffic::{ChaosReport, ChaosSpec, ChurnSpec, DestPattern};
-use wormsim::{EngineScratch, SimParams, SimTime};
+use traffic::{ChaosReport, ChaosSpec, ChurnSpec, CubeTrees, DestPattern, Multicast, Separate};
+use wormsim::{SimParams, SimTime};
 
 /// Sweep dimensions, churn ladder, and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,16 +166,9 @@ pub struct ChaosSweep {
     pub series: Vec<ChaosSeries>,
 }
 
-/// What one grid point (or telemetry series) simulates.
-#[derive(Clone, Copy)]
-pub(crate) enum RunTarget {
-    Cube { cube: Cube, algo: Algorithm },
-    Torus { torus: Torus },
-}
-
-/// A fully-described grid point, ready for any worker to execute.
+/// A fully-described grid point, ready for any worker to execute on
+/// its series' source.
 struct RunTask {
-    target: RunTarget,
     pattern: DestPattern,
     rate: f64,
     link_mtbf_ms: Option<f64>,
@@ -231,26 +224,20 @@ fn point_for(task: &RunTask, r: &ChaosReport) -> ChaosPoint {
     }
 }
 
-fn run_task(cfg: &ChaosSweepConfig, task: &RunTask, scratch: &mut EngineScratch) -> ChaosPoint {
+/// Runs `tasks` in the trial pool: per-worker scratch (reuse across
+/// runs is byte-invisible), task-indexed merge, so the sweep is
+/// worker-count invariant.
+fn run_tasks<S: Multicast + Sync>(
+    cfg: &ChaosSweepConfig,
+    tasks: &[(S, RunTask)],
+    workers: usize,
+) -> Vec<ChaosPoint> {
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
-    let spec = chaos_spec_for(cfg, task);
-    let report = match task.target {
-        RunTarget::Cube { cube, algo } => traffic::run_chaos_cube_with_scratch(
-            &spec,
-            cube,
-            Resolution::HighToLow,
-            algo,
-            &params,
-            scratch,
-        ),
-        RunTarget::Torus { torus } => traffic::run_chaos_separate_on_with_scratch(
-            &spec,
-            TorusRouter::new(torus),
-            &params,
-            scratch,
-        ),
-    };
-    point_for(task, &report)
+    traffic::run_trials(workers, tasks.len(), |i, scratch| {
+        let (source, task) = &tasks[i];
+        let spec = chaos_spec_for(cfg, task);
+        point_for(task, &traffic::run_chaos(&spec, source, &params, scratch))
+    })
 }
 
 /// Runs the full chaos sweep on one worker per available core (at
@@ -272,16 +259,17 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
     assert!(workers > 0, "need at least one worker");
 
     // Lay out every series and its grid tasks up front, in output
-    // order; workers fill slots, never append.
-    let (mut tasks, mut shells) = (Vec::new(), Vec::new());
+    // order (cube series, then the torus); workers fill slots, never
+    // append.
+    let mut shells = Vec::new();
     let mut grid =
-        |network: &str, nodes, m, target, algorithm: &str, pattern: &DestPattern, loads: &[f64]| {
+        |network: &str, nodes, m, algorithm: &str, pattern: &DestPattern, loads: &[f64]| {
+            let mut tasks = Vec::new();
             for (ri, &link_mtbf_ms) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
                 for (li, &rate) in loads.iter().enumerate() {
                     let seed = run_seed(cfg.seed, network, algorithm, ri * loads.len() + li);
                     let pattern = pattern.clone();
                     tasks.push(RunTask {
-                        target,
                         pattern,
                         rate,
                         link_mtbf_ms,
@@ -296,8 +284,10 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
                 m,
                 points: Vec::new(),
             };
-            shells.push((shell, cfg.link_mtbf_ladder_ms.len() * loads.len()));
+            shells.push((shell, tasks.len()));
+            tasks
         };
+    let mut cube_tasks = Vec::new();
     for (network, dim, m, loads) in [
         ("cube6", 6u8, 8usize, &cfg.loads_64),
         ("cube8", 8u8, 16usize, &cfg.loads_256),
@@ -305,30 +295,20 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
         let cube = Cube::of(dim);
         let pattern = pool(cfg.seed, network, &cube, cfg.pool_groups, m);
         for algo in Algorithm::PAPER {
-            let target = RunTarget::Cube { cube, algo };
-            grid(network, 1 << dim, m, target, algo.name(), &pattern, loads);
+            let source = CubeTrees::new(cube, Resolution::HighToLow, algo);
+            let tasks = grid(network, 1 << dim, m, algo.name(), &pattern, loads);
+            cube_tasks.extend(tasks.into_iter().map(|t| (source, t)));
         }
     }
     let torus = Torus::of(4, 3);
     let pattern = pool(cfg.seed, "torus4x3", &torus, cfg.pool_groups, 8);
-    let target = RunTarget::Torus { torus };
-    grid(
-        "torus4x3",
-        64,
-        8,
-        target,
-        "Separate",
-        &pattern,
-        &cfg.loads_64,
-    );
+    let source = Separate(TorusRouter::new(torus));
+    let tasks = grid("torus4x3", 64, 8, "Separate", &pattern, &cfg.loads_64);
+    let torus_tasks: Vec<_> = tasks.into_iter().map(|t| (source, t)).collect();
 
-    // The trial pool: per-worker scratch (reuse across runs is
-    // byte-invisible), task-indexed merge, so the sweep is worker-count
-    // invariant.
-    let mut points = traffic::run_trials(workers, tasks.len(), |i, scratch| {
-        run_task(cfg, &tasks[i], scratch)
-    })
-    .into_iter();
+    let mut points = run_tasks(cfg, &cube_tasks, workers)
+        .into_iter()
+        .chain(run_tasks(cfg, &torus_tasks, workers));
     let series = shells
         .into_iter()
         .map(|(shell, n)| ChaosSeries {

@@ -20,14 +20,10 @@
 use crate::artifact::{record, Artifact};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
-    reduce_scatter_separate,
-};
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
-use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
-use wormsim::{simulate_collective, simulate_collective_on, SimParams};
+use traffic::{ArrivalProcess, Arrivals, CubeCollective, DestPattern, TrafficSpec};
+use wormsim::{simulate_collective, simulate_collective_on, EngineScratch, SimParams};
 
 /// Sweep dimensions and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,26 +123,6 @@ pub struct CollectivesSweep {
     pub traffic: Vec<TrafficRow>,
 }
 
-/// Builds one cube-side schedule of the sweep.
-fn cube_schedule(
-    kind: CollectiveKind,
-    family: TreeFamily,
-    cube: Cube,
-    block_bytes: u32,
-) -> CollectiveSchedule {
-    let (resolution, port) = (Resolution::HighToLow, PortModel::AllPort);
-    match kind {
-        CollectiveKind::Allgather => allgather(family, cube, resolution, port, block_bytes, None),
-        CollectiveKind::ReduceScatter => {
-            reduce_scatter(family, cube, resolution, port, block_bytes, None)
-        }
-        CollectiveKind::Allreduce => {
-            allreduce(family, cube, resolution, port, NodeId(0), block_bytes, None)
-        }
-    }
-    .expect("full-machine collectives cannot fail to build")
-}
-
 fn row_from(
     sched: &CollectiveSchedule,
     suite: &str,
@@ -180,8 +156,11 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     let cube = Cube::of(5);
     for kind in CollectiveKind::ALL {
         for family in TreeFamily::SWEEP {
-            let sched = cube_schedule(kind, family, cube, cfg.block_bytes);
-            let report = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+            let (res, port, bytes) = (Resolution::HighToLow, PortModel::AllPort, cfg.block_bytes);
+            let sched = kind
+                .build(family, cube, res, port, NodeId(0), bytes, None)
+                .expect("full-machine collectives cannot fail to build");
+            let report = simulate_collective(&sched, cube, res, &params);
             rows.push(row_from(
                 &sched,
                 kind.name(),
@@ -195,11 +174,7 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     // --- schedule section: torus, separate addressing --------------------
     let torus = Torus::of(4, 2);
     for kind in CollectiveKind::ALL {
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather_separate(&torus, cfg.block_bytes),
-            CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, cfg.block_bytes),
-            CollectiveKind::Allreduce => allreduce_separate(&torus, NodeId(0), cfg.block_bytes),
-        };
+        let sched = kind.build_separate(&torus, NodeId(0), cfg.block_bytes);
         let report = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
         rows.push(row_from(
             &sched,
@@ -213,6 +188,7 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     // --- traffic section: open-loop collectives on a 4-cube --------------
     let tcube = Cube::of(4);
     let mut traffic_rows = Vec::new();
+    let mut scratch = EngineScratch::new();
     for family in [TreeFamily::Alg(Algorithm::WSort), TreeFamily::Bine] {
         for (ki, kind) in CollectiveKind::ALL.into_iter().enumerate() {
             let mut spec = TrafficSpec::new(
@@ -225,14 +201,13 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
             );
             spec.bytes = cfg.traffic_bytes;
             spec.horizon = horizon_for(cfg.traffic_sessions, cfg.traffic_rate_per_ms);
-            let r = traffic::run_collective_cube(
-                &spec,
-                tcube,
-                Resolution::HighToLow,
+            let source = CubeCollective {
+                cube: tcube,
+                resolution: Resolution::HighToLow,
                 kind,
                 family,
-                &params,
-            );
+            };
+            let r = traffic::run(&spec, &source, &params, &mut scratch);
             traffic_rows.push(TrafficRow {
                 suite: kind.name().into(),
                 family: family.name().into(),

@@ -53,8 +53,9 @@
 //! it (the reader stops at the shutdown line), making drain graceful
 //! by construction.
 //!
-//! The load check and spec builders ([`check_load`], [`load_spec`],
-//! [`chaos_wrap`]) and report formatters ([`traffic_report_json`],
+//! The load and destination checks ([`check_load`], [`dest_pattern`]),
+//! the spec constructors ([`load_spec`], [`chaos_wrap`],
+//! [`single_shot_dests`]) and report formatters ([`traffic_report_json`],
 //! [`chaos_report_json`], [`multicast_report_json`]) are the *single
 //! source* for both the one-shot CLI and the daemon, so serve-vs-CLI
 //! equivalence is structural, not coincidental.
@@ -66,10 +67,10 @@ use std::time::Instant;
 use hcube::{Cube, NodeId, Resolution, Topology, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel, RetryPolicy};
 use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficReport,
-    TrafficSpec,
+    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, CubeTrees, DestPattern, Multicast,
+    Separate, TrafficReport, TrafficSpec,
 };
-use wormsim::{SimParams, SimReport, SimTime};
+use wormsim::{json_escape, EngineScratch, SimParams, SimReport, SimTime};
 
 use crate::json::{self, Value};
 
@@ -92,7 +93,7 @@ fn horizon_ms(rate: f64, sessions: usize) -> f64 {
 /// Checks that `sessions` arrivals at `rate` sessions/ms under
 /// `arrivals` fit in simulated time: both the worst-case arrival
 /// schedule ([`Arrivals::span_bound_ns`]) and the [`load_spec`]
-/// horizon must stay within [`LOAD_SPAN_LIMIT_NS`]. Both front ends
+/// horizon must stay within `LOAD_SPAN_LIMIT_NS`. Both front ends
 /// call it before [`load_spec`].
 ///
 /// # Errors
@@ -111,6 +112,100 @@ pub fn check_load(arrivals: ArrivalProcess, rate: f64, sessions: usize) -> Resul
         ));
     }
     Ok(())
+}
+
+/// Checks the destination side of a run against a `nodes`-node
+/// topology and returns its pattern. This is the one check `mcast` argv
+/// and serve requests share, made before anything runs or prints, so
+/// neither front end can hand the samplers or tree constructors a set they
+/// would panic on. `source` must be a node, and exactly one of `dests`
+/// and `random` is given: `dests` non-empty, every entry a node other
+/// than the source and none twice; `random` at least 1 and at most
+/// `nodes − 1`, because a draw excludes its source. Neither may ask for
+/// more than `max_dests` destinations (serve's cap; `mcast` passes
+/// `usize::MAX`). Messages name the three inputs through `name`, so
+/// they read in the front end's terms (`` `random` `` or `--random`).
+///
+/// # Errors
+/// The first violation, checked in this order: `source`; both or
+/// neither given; then `random` (zero, cap, node count) or `dests`
+/// (empty, cap, then each entry in turn). A cap violation is
+/// `oversized`, every other one `bad_request`.
+pub fn dest_pattern(
+    source: u32,
+    dests: Option<&[u64]>,
+    random: Option<u64>,
+    nodes: usize,
+    max_dests: usize,
+    name: impl Fn(&str) -> String,
+) -> Result<DestPattern, Refusal> {
+    let (s, d, r) = (name("source"), name("dests"), name("random"));
+    if source as usize >= nodes {
+        return Err(bad_request(format!(
+            "{s} {source} outside the {nodes}-node topology"
+        )));
+    }
+    match (dests, random) {
+        (Some(_), Some(_)) => Err(bad_request(format!("give {d} or {r}, not both"))),
+        (None, None) => Err(bad_request(format!("provide {d} or {r}"))),
+        (None, Some(0)) => Err(bad_request(format!("{r} must be >= 1"))),
+        (None, Some(m)) if m > max_dests as u64 => {
+            Err(oversized(format!("{r} {m} exceeds the cap of {max_dests}")))
+        }
+        (None, Some(m)) if m >= nodes as u64 => Err(bad_request(format!(
+            "{r} {m} needs {} candidates but the topology has {nodes} nodes",
+            m + 1
+        ))),
+        (None, Some(m)) => Ok(DestPattern::UniformRandom { m: m as usize }),
+        (Some([]), None) => Err(bad_request(format!("{d} must not be empty"))),
+        (Some(dests), None) if dests.len() > max_dests => Err(oversized(format!(
+            "{} dests exceed the cap of {max_dests}",
+            dests.len()
+        ))),
+        (Some(dests), None) => {
+            let mut out = Vec::with_capacity(dests.len());
+            for &d in dests {
+                if d >= nodes as u64 {
+                    return Err(bad_request(format!(
+                        "destination {d} outside the {nodes}-node topology"
+                    )));
+                }
+                if d == u64::from(source) {
+                    return Err(bad_request(format!("destination {d} is the source itself")));
+                }
+                let d = NodeId(d as u32);
+                if out.contains(&d) {
+                    return Err(bad_request(format!("duplicate destination {}", d.0)));
+                }
+                out.push(d);
+            }
+            Ok(DestPattern::Fixed {
+                source: NodeId(source),
+                dests: out,
+            })
+        }
+    }
+}
+
+/// The destinations of a single-shot multicast from `source` on `topo`:
+/// a [`dest_pattern`]-checked fixed set as given, or `random` m drawn
+/// from the CLI's seeded stream, so `mcast --random M --seed S` and the
+/// equivalent serve request build the same tree.
+#[must_use]
+pub fn single_shot_dests<T: Topology>(
+    pattern: DestPattern,
+    topo: &T,
+    source: NodeId,
+    seed: u64,
+) -> Vec<NodeId> {
+    match pattern {
+        DestPattern::Fixed { dests, .. } => dests,
+        DestPattern::UniformRandom { m } => {
+            let mut rng = crate::destsets::trial_rng("mcast-cli", 0, seed as usize);
+            crate::destsets::random_dests_on(&mut rng, topo, source, m)
+        }
+        _ => unreachable!("dest_pattern only builds Fixed or UniformRandom"),
+    }
 }
 
 /// Builds the open-loop [`TrafficSpec`] of a `--load` run: `rate`
@@ -322,10 +417,20 @@ struct Job {
     parsed: Result<Value, String>,
 }
 
-/// A typed refusal: becomes the `error` object of a response line.
-struct Refusal {
-    kind: &'static str,
-    message: String,
+/// A typed refusal: becomes the `error` object of a response line (and,
+/// from [`dest_pattern`], an `mcast` usage error).
+#[derive(Debug)]
+pub struct Refusal {
+    /// `bad_request` or `oversized` (the response's `error.kind`).
+    pub kind: &'static str,
+    /// A human-readable message naming the violation.
+    pub message: String,
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
 }
 
 fn bad_request(message: impl Into<String>) -> Refusal {
@@ -453,80 +558,34 @@ fn parse_port(f: &mut Fields) -> Result<PortModel, Refusal> {
 }
 
 /// The destination side of a request: explicit `dests` or `random` m,
-/// exactly one, validated against the topology so the builders and
-/// pattern samplers can't panic on daemon input.
+/// validated by [`dest_pattern`] under the server's cap so tree
+/// construction and the pattern samplers cannot panic on daemon input.
 fn parse_pattern(
     f: &mut Fields,
     source: u32,
     nodes: usize,
     opts: &ServeOptions,
 ) -> Result<DestPattern, Refusal> {
-    if source as usize >= nodes {
-        return Err(bad_request(format!(
-            "`source` {source} outside the {nodes}-node topology"
-        )));
-    }
     let random = f.get("random").map(|v| as_uint(v, "random")).transpose()?;
-    let dests = f.get("dests");
-    match (random, dests) {
-        (Some(_), Some(_)) => Err(bad_request("give `dests` or `random`, not both")),
-        (None, None) => Err(bad_request("provide `dests` or `random`")),
-        (Some(m), None) => {
-            let m = m as usize;
-            if m == 0 {
-                return Err(bad_request("`random` must be >= 1"));
-            }
-            if m > opts.max_dests {
-                return Err(oversized(format!(
-                    "`random` {m} exceeds the cap of {}",
-                    opts.max_dests
-                )));
-            }
-            if m >= nodes {
-                return Err(bad_request(format!(
-                    "`random` {m} needs {} candidates but the topology has {nodes} nodes",
-                    m + 1
-                )));
-            }
-            Ok(DestPattern::UniformRandom { m })
-        }
-        (None, Some(v)) => {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| bad_request("`dests` must be an array of node ids"))?;
-            if arr.is_empty() {
-                return Err(bad_request("`dests` must not be empty"));
-            }
-            if arr.len() > opts.max_dests {
-                return Err(oversized(format!(
-                    "{} dests exceed the cap of {}",
-                    arr.len(),
-                    opts.max_dests
-                )));
-            }
-            let mut out = Vec::with_capacity(arr.len());
-            for d in arr {
-                let d = as_uint(d, "dests")?;
-                if d >= nodes as u64 {
-                    return Err(bad_request(format!(
-                        "destination {d} outside the {nodes}-node topology"
-                    )));
-                }
-                if d == u64::from(source) {
-                    return Err(bad_request(format!("destination {d} is the source itself")));
-                }
-                let d = NodeId(d as u32);
-                if out.contains(&d) {
-                    return Err(bad_request(format!("duplicate destination {}", d.0)));
-                }
-                out.push(d);
-            }
-            Ok(DestPattern::Fixed {
-                source: NodeId(source),
-                dests: out,
-            })
-        }
-    }
+    let dests = match f.get("dests") {
+        None => None,
+        Some(v) => Some(
+            v.as_array()
+                .ok_or_else(|| bad_request("`dests` must be an array of node ids"))?
+                .iter()
+                .map(|d| as_uint(d, "dests"))
+                .collect::<Result<Vec<u64>, _>>()?,
+        ),
+    };
+    let name = |field: &str| format!("`{field}`");
+    dest_pattern(
+        source,
+        dests.as_deref(),
+        random,
+        nodes,
+        opts.max_dests,
+        name,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -607,18 +666,8 @@ fn run_load(chaos: bool, f: &mut Fields, opts: &ServeOptions) -> Result<String, 
             }
             let pattern = parse_pattern(f, source, cube.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
-            let resolution = Resolution::HighToLow;
-            Ok(match retry {
-                Some((mtbf, mttr, retries, backoff_us)) => {
-                    let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = traffic::run_chaos_cube(&spec, cube, resolution, algo, &params);
-                    chaos_report_json(algo.name(), &r, None)
-                }
-                None => {
-                    let r = traffic::run_cube(&spec, cube, resolution, algo, &params);
-                    traffic_report_json(algo.name(), &r, None)
-                }
-            })
+            let trees = CubeTrees::new(cube, Resolution::HighToLow, algo);
+            Ok(load_json(algo.name(), spec, &trees, &params, retry))
         }
         "torus" => {
             let arity: u16 = narrow_field(f, "arity", 4)?;
@@ -632,22 +681,36 @@ fn run_load(chaos: bool, f: &mut Fields, opts: &ServeOptions) -> Result<String, 
             }
             let pattern = parse_pattern(f, source, torus.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
-            let router = TorusRouter::new(torus);
-            Ok(match retry {
-                Some((mtbf, mttr, retries, backoff_us)) => {
-                    let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = traffic::run_chaos_separate_on(&spec, router, &params);
-                    chaos_report_json("Separate", &r, None)
-                }
-                None => {
-                    let r = traffic::run_separate_on(&spec, router, &params);
-                    traffic_report_json("Separate", &r, None)
-                }
-            })
+            let separate = Separate(TorusRouter::new(torus));
+            Ok(load_json("Separate", spec, &separate, &params, retry))
         }
         other => Err(bad_request(format!(
             "unknown topology `{other}` (cube or torus)"
         ))),
+    }
+}
+
+/// Runs one open-loop request from `source` — plain, or under churn
+/// when `retry` carries `(mtbf_ms, mttr_ms, retries, backoff_us)` — and
+/// returns the report object the CLI prints for the same run.
+fn load_json<S: Multicast>(
+    label: &str,
+    spec: TrafficSpec,
+    source: &S,
+    params: &SimParams,
+    retry: Option<(f64, f64, u32, u64)>,
+) -> String {
+    let mut scratch = EngineScratch::new();
+    match retry {
+        Some((mtbf, mttr, retries, backoff_us)) => {
+            let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
+            let r = traffic::run_chaos(&spec, source, params, &mut scratch);
+            chaos_report_json(label, &r, None)
+        }
+        None => {
+            let r = traffic::run(&spec, source, params, &mut scratch);
+            traffic_report_json(label, &r, None)
+        }
     }
 }
 
@@ -674,16 +737,7 @@ fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal>
     let port = parse_port(f)?;
     let pattern = parse_pattern(f, source, cube.node_count(), opts)?;
     let source = NodeId(source);
-    let dests = match pattern {
-        DestPattern::Fixed { dests, .. } => dests,
-        DestPattern::UniformRandom { m } => {
-            // The CLI's exact draw, so `mcast --random M --seed S --json`
-            // and the equivalent request return the same tree.
-            let mut rng = crate::destsets::trial_rng("mcast-cli", 0, seed as usize);
-            crate::destsets::random_dests(&mut rng, cube, source, m)
-        }
-        _ => unreachable!("parse_pattern only builds Fixed or UniformRandom"),
-    };
+    let dests = single_shot_dests(pattern, &cube, source, seed);
     let tree = algo
         .build(cube, Resolution::HighToLow, port, source, &dests)
         .map_err(|e| bad_request(e.to_string()))?;
@@ -752,24 +806,6 @@ fn execute(
 // The request loop
 // ---------------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn id_json(id: Option<u64>) -> String {
     id.map_or_else(|| "null".into(), |i| i.to_string())
 }
@@ -777,7 +813,7 @@ fn id_json(id: Option<u64>) -> String {
 /// The optional `,"tag":"…"` wrapper member: present only when the
 /// request carried a tag, so untagged responses keep their exact bytes.
 fn tag_json(tag: Option<&str>) -> String {
-    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", escape(t)))
+    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", json_escape(t)))
 }
 
 /// The reader half: one parsed line per queue slot. Blank lines are
@@ -889,7 +925,7 @@ where
                         "{{\"id\":{},\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
                         id_json(id),
                         refusal.kind,
-                        escape(&refusal.message)
+                        json_escape(&refusal.message)
                     )?;
                     output.flush()?;
                     summary.errors += 1;
@@ -917,32 +953,50 @@ mod tests {
         (lines, summary)
     }
 
+    /// The response line of a successful request `id`.
+    fn ok_line(id: u64, result: String) -> Vec<String> {
+        vec![format!("{{\"id\":{id},\"ok\":true,\"result\":{result}}}")]
+    }
+
+    /// The spec serve builds for a Poisson request with 4 KB payloads.
+    fn poisson(rate: f64, pattern: DestPattern, sessions: usize, seed: u64) -> TrafficSpec {
+        load_spec(ArrivalProcess::Poisson, rate, pattern, sessions, seed, 4096)
+    }
+
+    /// The one-shot traffic report of `spec` on an all-port network.
+    fn one_shot<S: Multicast>(spec: &TrafficSpec, source: &S) -> TrafficReport {
+        let params = SimParams::ncube2(PortModel::AllPort);
+        traffic::run(spec, source, &params, &mut EngineScratch::new())
+    }
+
+    /// The one-shot chaos report of `spec` on an all-port network.
+    fn one_shot_chaos<S: Multicast>(spec: &ChaosSpec, source: &S) -> ChaosReport {
+        let params = SimParams::ncube2(PortModel::AllPort);
+        traffic::run_chaos(spec, source, &params, &mut EngineScratch::new())
+    }
+
+    fn wsort5() -> CubeTrees {
+        CubeTrees::new(Cube::of(5), Resolution::HighToLow, Algorithm::WSort)
+    }
+
+    /// Separate addressing on the 4-ary 2-cube torus, the serve torus
+    /// backend.
+    fn torus42() -> Separate<TorusRouter> {
+        Separate(TorusRouter::new(Torus::of(4, 2)))
+    }
+
     const TRAFFIC: &str = "{\"id\":1,\"op\":\"traffic\",\"n\":5,\"algo\":\"wsort\",\"load\":2.0,\
          \"random\":6,\"sessions\":40,\"seed\":7}";
 
     #[test]
     fn traffic_response_matches_the_one_shot_engine() {
         let (lines, summary) = serve(TRAFFIC, &ServeOptions::default());
-        let spec = load_spec(
-            ArrivalProcess::Poisson,
-            2.0,
-            DestPattern::UniformRandom { m: 6 },
-            40,
-            7,
-            4096,
+        let spec = poisson(2.0, DestPattern::UniformRandom { m: 6 }, 40, 7);
+        let report = one_shot(&spec, &wsort5());
+        assert_eq!(
+            lines,
+            ok_line(1, traffic_report_json("W-sort", &report, None))
         );
-        let report = traffic::run_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &SimParams::ncube2(PortModel::AllPort),
-        );
-        let expected = format!(
-            "{{\"id\":1,\"ok\":true,\"result\":{}}}",
-            traffic_report_json("W-sort", &report, None)
-        );
-        assert_eq!(lines, vec![expected]);
         assert_eq!(
             summary,
             ServeSummary {
@@ -972,33 +1026,43 @@ mod tests {
         let req = "{\"id\":4,\"op\":\"chaos\",\"n\":5,\"algo\":\"wsort\",\"load\":1.5,\
                    \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0}";
         let (lines, _) = serve(req, &ServeOptions::default());
-        let spec = chaos_wrap(
-            load_spec(
-                ArrivalProcess::Poisson,
-                1.5,
-                DestPattern::UniformRandom { m: 5 },
-                30,
-                3,
-                4096,
-            ),
-            8.0,
-            2.0,
-            3,
-            500,
-        );
-        let report = traffic::run_chaos_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &SimParams::ncube2(PortModel::AllPort),
-        );
+        let spec = poisson(1.5, DestPattern::UniformRandom { m: 5 }, 30, 3);
+        let report = one_shot_chaos(&chaos_wrap(spec, 8.0, 2.0, 3, 500), &wsort5());
         assert_eq!(
             lines,
-            vec![format!(
-                "{{\"id\":4,\"ok\":true,\"result\":{}}}",
-                chaos_report_json("W-sort", &report, None)
-            )]
+            ok_line(4, chaos_report_json("W-sort", &report, None))
+        );
+    }
+
+    #[test]
+    fn torus_traffic_response_matches_the_one_shot_engine() {
+        let req = "{\"id\":5,\"op\":\"traffic\",\"topology\":\"torus\",\"arity\":4,\"n\":2,\
+                   \"load\":1.0,\"dests\":[3,9,14],\"source\":1,\"sessions\":25,\"seed\":9}";
+        let (lines, _) = serve(req, &ServeOptions::default());
+        let dests = [3, 9, 14].map(NodeId).to_vec();
+        let pattern = DestPattern::Fixed {
+            source: NodeId(1),
+            dests,
+        };
+        let report = one_shot(&poisson(1.0, pattern, 25, 9), &torus42());
+        assert_eq!(
+            lines,
+            ok_line(5, traffic_report_json("Separate", &report, None))
+        );
+    }
+
+    #[test]
+    fn torus_chaos_response_matches_the_one_shot_engine() {
+        let req = "{\"id\":6,\"op\":\"chaos\",\"topology\":\"torus\",\"arity\":4,\"n\":2,\
+                   \"load\":1.0,\"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\
+                   \"mttr_ms\":2.0,\"retries\":2,\"backoff_us\":200}";
+        let (lines, _) = serve(req, &ServeOptions::default());
+        let spec = poisson(1.0, DestPattern::UniformRandom { m: 5 }, 30, 3);
+        let report = one_shot_chaos(&chaos_wrap(spec, 8.0, 2.0, 2, 200), &torus42());
+        assert!(report.fault_events > 0, "this churn must strike the torus");
+        assert_eq!(
+            lines,
+            ok_line(6, chaos_report_json("Separate", &report, None))
         );
     }
 
@@ -1026,10 +1090,7 @@ mod tests {
         );
         assert_eq!(
             lines,
-            vec![format!(
-                "{{\"id\":9,\"ok\":true,\"result\":{}}}",
-                multicast_report_json("Maxport", &report, 1)
-            )]
+            ok_line(9, multicast_report_json("Maxport", &report, 1))
         );
     }
 
@@ -1140,6 +1201,50 @@ mod tests {
     }
 
     #[test]
+    fn destination_refusals_name_request_fields_in_check_order() {
+        let req = |fields: &str| {
+            format!("{{\"id\":1,\"op\":\"traffic\",\"load\":1.0,\"n\":6,{fields}}}\n")
+        };
+        let cases = [
+            // The source is checked before the cap.
+            (
+                "\"source\":64,\"random\":999",
+                "bad_request",
+                "`source` 64 outside the 64-node topology",
+            ),
+            ("\"random\":0", "bad_request", "`random` must be >= 1"),
+            (
+                "\"random\":999",
+                "oversized",
+                "`random` 999 exceeds the cap of 256",
+            ),
+            (
+                "\"random\":64",
+                "bad_request",
+                "`random` 64 needs 65 candidates but the topology has 64 nodes",
+            ),
+            (
+                "\"sessions\":5",
+                "bad_request",
+                "provide `dests` or `random`",
+            ),
+            (
+                "\"dests\":[1],\"random\":2",
+                "bad_request",
+                "give `dests` or `random`, not both",
+            ),
+            ("\"dests\":[]", "bad_request", "`dests` must not be empty"),
+            ("\"dests\":[1,1]", "bad_request", "duplicate destination 1"),
+        ];
+        let input: String = cases.iter().map(|(fields, ..)| req(fields)).collect();
+        let (lines, _) = serve(&input, &ServeOptions::default());
+        for (line, (fields, kind, message)) in lines.iter().zip(cases) {
+            let want = format!("\"kind\":\"{kind}\",\"message\":\"{message}\"");
+            assert!(line.contains(&want), "{fields}: {line}");
+        }
+    }
+
+    #[test]
     fn shutdown_drains_the_queue_and_ignores_later_lines() {
         let input = format!("{TRAFFIC}\n{{\"id\":8,\"op\":\"shutdown\"}}\n{TRAFFIC}\n");
         let (lines, summary) = serve(&input, &ServeOptions::default());
@@ -1151,6 +1256,6 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

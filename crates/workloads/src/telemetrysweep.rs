@@ -6,7 +6,7 @@
 //! addressing, each driven by Poisson multicast sessions while an
 //! MTBF/MTTR churn process kills and revives links and nodes during the
 //! first part of the window and then stops. The run goes through
-//! [`traffic::run_chaos_cube_with_telemetry`] — the flight recorder —
+//! [`traffic::run_chaos_with_telemetry`] — the flight recorder —
 //! and each series commits its windowed time-series: offered/delivered
 //! sessions, goodput, latency quantiles, cache hit counters, live fault
 //! elements, and per-dimension head-flit blocked time, bucket by bucket.
@@ -22,13 +22,14 @@
 //! at any worker count; the determinism suite pins it.
 
 use crate::artifact::{record, Artifact};
-use crate::chaossweep::{churn_until, RunTarget};
+use crate::chaossweep::churn_until;
 use crate::sweep::default_workers;
 use crate::trafficsweep::{pool, pool_spec, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, RetryPolicy};
 use traffic::{
-    ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles, Telemetry, TelemetryConfig,
+    ChaosReport, ChaosSpec, ChurnSpec, CubeTrees, DestPattern, Multicast, Quantiles, Separate,
+    Telemetry, TelemetryConfig,
 };
 use wormsim::{Histogram, SimParams, SimTime};
 
@@ -177,8 +178,8 @@ pub struct TelemetrySweep {
     pub series: Vec<TelemetrySeries>,
 }
 
+/// One series, ready for any worker to execute on its source.
 struct RunTask {
-    target: RunTarget,
     network: &'static str,
     nodes: usize,
     algorithm: String,
@@ -257,27 +258,23 @@ fn series_for(
     }
 }
 
-fn run_task(cfg: &TelemetrySweepConfig, task: &RunTask) -> TelemetrySeries {
+/// Runs `tasks` in the trial pool: per-worker scratch (reuse across
+/// runs is byte-invisible), task-indexed merge, so the sweep is
+/// worker-count invariant.
+fn run_tasks<S: Multicast + Sync>(
+    cfg: &TelemetrySweepConfig,
+    tasks: &[(S, RunTask)],
+    workers: usize,
+) -> Vec<TelemetrySeries> {
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
-    let spec = chaos_spec_for(cfg, task);
     let tcfg = TelemetryConfig::new(cfg.buckets);
-    let (report, tel) = match task.target {
-        RunTarget::Cube { cube, algo } => traffic::run_chaos_cube_with_telemetry(
-            &spec,
-            cube,
-            Resolution::HighToLow,
-            algo,
-            &params,
-            &tcfg,
-        ),
-        RunTarget::Torus { torus } => traffic::run_chaos_separate_with_telemetry_on(
-            &spec,
-            TorusRouter::new(torus),
-            &params,
-            &tcfg,
-        ),
-    };
-    series_for(task, &spec, &report, &tel)
+    traffic::run_trials(workers, tasks.len(), |i, scratch| {
+        let (source, task) = &tasks[i];
+        let spec = chaos_spec_for(cfg, task);
+        let (report, tel) =
+            traffic::run_chaos_with_telemetry(&spec, source, &params, &tcfg, scratch);
+        series_for(task, &spec, &report, &tel)
+    })
 }
 
 /// Runs the full telemetry sweep on one worker per available core (at
@@ -299,32 +296,32 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
 
     let cube = Cube::of(6);
     let pattern = pool(cfg.seed, "cube6", &cube, cfg.pool_groups, cfg.m);
-    let mut tasks: Vec<RunTask> = Algorithm::PAPER
+    let cube_tasks: Vec<_> = Algorithm::PAPER
         .iter()
         .enumerate()
-        .map(|(i, &algo)| RunTask {
-            target: RunTarget::Cube { cube, algo },
-            network: "cube6",
-            nodes: 64,
-            algorithm: algo.name().into(),
-            pattern: pattern.clone(),
-            seed: run_seed(cfg.seed, "cube6", algo.name(), i),
+        .map(|(i, &algo)| {
+            let task = RunTask {
+                network: "cube6",
+                nodes: 64,
+                algorithm: algo.name().into(),
+                pattern: pattern.clone(),
+                seed: run_seed(cfg.seed, "cube6", algo.name(), i),
+            };
+            (CubeTrees::new(cube, Resolution::HighToLow, algo), task)
         })
         .collect();
     let torus = Torus::of(4, 3);
-    tasks.push(RunTask {
-        target: RunTarget::Torus { torus },
+    let torus_task = RunTask {
         network: "torus4x3",
         nodes: 64,
         algorithm: "Separate".into(),
         pattern: pool(cfg.seed, "torus4x3", &torus, cfg.pool_groups, cfg.m),
         seed: run_seed(cfg.seed, "torus4x3", "Separate", 0),
-    });
+    };
 
-    // The trial pool: task-indexed merge keeps the sweep
-    // worker-count invariant. The telemetry entry points allocate their
-    // own engine arenas, so the per-worker scratch goes unused here.
-    let series = traffic::run_trials(workers, tasks.len(), |i, _scratch| run_task(cfg, &tasks[i]));
+    let mut series = run_tasks(cfg, &cube_tasks, workers);
+    let torus_source = Separate(TorusRouter::new(torus));
+    series.extend(run_tasks(cfg, &[(torus_source, torus_task)], workers));
     TelemetrySweep {
         config: cfg.clone(),
         series,

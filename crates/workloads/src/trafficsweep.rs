@@ -20,7 +20,8 @@ use hypercast::{Algorithm, CacheStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traffic::{
-    saturation_point, ArrivalProcess, Arrivals, DestPattern, LoadPoint, TrafficReport, TrafficSpec,
+    saturation_point, ArrivalProcess, Arrivals, CubeTrees, DestPattern, LoadPoint, Separate,
+    TrafficReport, TrafficSpec,
 };
 use wormsim::{EngineScratch, SimParams, SimTime};
 
@@ -229,14 +230,8 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
                 .enumerate()
                 .map(|(pi, &rate)| {
                     let spec = spec(&pattern, rate, run_seed(cfg.seed, network, algo.name(), pi));
-                    let r = traffic::run_cube_with_scratch(
-                        &spec,
-                        cube,
-                        Resolution::HighToLow,
-                        algo,
-                        &params,
-                        &mut scratch,
-                    );
+                    let trees = CubeTrees::new(cube, Resolution::HighToLow, algo);
+                    let r = traffic::run(&spec, &trees, &params, &mut scratch);
                     point(rate, &r)
                 })
                 .collect();
@@ -265,8 +260,8 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
                 rate,
                 run_seed(cfg.seed, "torus4x3", "Separate", pi),
             );
-            let router = TorusRouter::new(torus);
-            let r = traffic::run_separate_on_with_scratch(&spec, router, &params, &mut scratch);
+            let router = Separate(TorusRouter::new(torus));
+            let r = traffic::run(&spec, &router, &params, &mut scratch);
             point(rate, &r)
         })
         .collect();

@@ -2,10 +2,7 @@
 //! running end-to-end through the wormhole simulator.
 
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, barrier, broadcast,
-    reduce_scatter, reduce_scatter_separate, ReductionSchedule,
-};
+use hypercast::collectives::{barrier, broadcast, ReductionSchedule};
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
 use wormsim::{
@@ -110,12 +107,8 @@ fn barrier_costs_roughly_double_a_broadcast() {
 /// Builds one cube collective of the suite.
 fn cube_collective(kind: CollectiveKind, family: TreeFamily, cube: Cube) -> CollectiveSchedule {
     let (res, port) = (Resolution::HighToLow, PortModel::AllPort);
-    match kind {
-        CollectiveKind::Allgather => allgather(family, cube, res, port, 128, None),
-        CollectiveKind::ReduceScatter => reduce_scatter(family, cube, res, port, 128, None),
-        CollectiveKind::Allreduce => allreduce(family, cube, res, port, NodeId(5), 128, None),
-    }
-    .unwrap()
+    kind.build(family, cube, res, port, NodeId(5), 128, None)
+        .unwrap()
 }
 
 #[test]
@@ -151,11 +144,7 @@ fn every_separate_collective_simulates_and_passes_the_oracle_on_the_torus() {
     let params = SimParams::ncube2(PortModel::AllPort);
     let torus = Torus::of(4, 2);
     for kind in CollectiveKind::ALL {
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather_separate(&torus, 128),
-            CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, 128),
-            CollectiveKind::Allreduce => allreduce_separate(&torus, NodeId(3), 128),
-        };
+        let sched = kind.build_separate(&torus, NodeId(3), 128);
         verify_collective(&sched).unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         let r = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
         assert_eq!(r.deliveries.len(), sched.ops.len(), "{}", kind.name());
@@ -192,7 +181,8 @@ fn allgather_outruns_sequential_broadcasts() {
 
 #[test]
 fn collective_traffic_runs_end_to_end() {
-    use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
+    use traffic::{ArrivalProcess, Arrivals, CubeCollective, DestPattern, TrafficSpec};
+    use wormsim::EngineScratch;
     let params = SimParams::ncube2(PortModel::AllPort);
     let mut spec = TrafficSpec::new(
         Arrivals::new(ArrivalProcess::Poisson, 0.1),
@@ -203,14 +193,13 @@ fn collective_traffic_runs_end_to_end() {
     spec.bytes = 128;
     for family in [TreeFamily::Alg(Algorithm::WSort), TreeFamily::Bine] {
         for kind in CollectiveKind::ALL {
-            let r = traffic::run_collective_cube(
-                &spec,
-                Cube::of(4),
-                Resolution::HighToLow,
+            let source = CubeCollective {
+                cube: Cube::of(4),
+                resolution: Resolution::HighToLow,
                 kind,
                 family,
-                &params,
-            );
+            };
+            let r = traffic::run(&spec, &source, &params, &mut EngineScratch::new());
             assert_eq!(r.sessions.len(), 6, "{} {}", kind.name(), family.name());
             assert!(
                 r.completion_ratio > 0.0,

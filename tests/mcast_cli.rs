@@ -46,3 +46,68 @@ fn a_load_too_low_for_simulated_time_is_refused() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
+
+#[test]
+fn destination_sets_the_samplers_cannot_draw_are_refused() {
+    // `--random M` needs M + 1 nodes: single-shot runs on every backend
+    // and open-loop runs on both.
+    for (args, want) in [
+        ("--n 4 --random 16", "--random 16 needs 17 candidates"),
+        (
+            "--topology torus --arity 4 --n 2 --random 40",
+            "--random 40 needs 41 candidates",
+        ),
+        (
+            "--topology mesh --width 4 --height 4 --random 40",
+            "--random 40 needs 41 candidates",
+        ),
+        (
+            "--n 4 --random 16 --load 1 --sessions 5",
+            "--random 16 needs 17 candidates",
+        ),
+        (
+            "--topology torus --arity 4 --n 2 --random 16 --load 1 --sessions 5",
+            "--random 16 needs 17 candidates",
+        ),
+        ("--n 4 --random 0", "--random must be >= 1"),
+        (
+            "--n 4 --random 0 --load 1 --sessions 5",
+            "--random must be >= 1",
+        ),
+    ] {
+        assert_usage_error(&mcast(args), want);
+    }
+}
+
+#[test]
+fn malformed_fixed_destination_sets_are_refused() {
+    for (args, want) in [
+        (
+            "--n 4 --load 1 --sessions 5 --dests 3,3",
+            "duplicate destination 3",
+        ),
+        (
+            "--n 4 --load 1 --sessions 5 --dests 3,99",
+            "destination 99 outside the 16-node topology",
+        ),
+        (
+            "--n 4 --load 1 --sessions 5 --dests 0",
+            "destination 0 is the source itself",
+        ),
+        (
+            "--topology torus --arity 4 --n 2 --load 1 --sessions 5 --dests 3,99 --json",
+            "destination 99 outside the 16-node topology",
+        ),
+        (
+            "--n 4 --dests 3 --random 2",
+            "give --dests or --random, not both",
+        ),
+        ("--n 4 --load 1 --sessions 5", "provide --dests or --random"),
+        (
+            "--n 4 --source 16 --dests 3",
+            "--source 16 outside the 16-node topology",
+        ),
+    ] {
+        assert_usage_error(&mcast(args), want);
+    }
+}
